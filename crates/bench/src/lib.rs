@@ -1,13 +1,11 @@
-//! Shared fixtures for the benchmark harness and the Criterion benches:
-//! the paper's queries/views, and workload builders for the scaling
-//! experiments (B1–B7 in DESIGN.md §5).
+//! Shared fixtures for the experiment harness: the paper's Figure 3
+//! queries and views.
 
 #![warn(missing_docs)]
 
-use pxv_pxml::{Label, PDocument, PKind};
 use pxv_rewrite::View;
 use pxv_tpq::parse::parse_pattern;
-use pxv_tpq::pattern::{Axis, TreePattern};
+use pxv_tpq::pattern::TreePattern;
 
 /// Parses a pattern, panicking on error (fixtures only).
 pub fn pat(s: &str) -> TreePattern {
@@ -34,79 +32,6 @@ pub fn v2bon() -> View {
     View::new("v2BON", pat("IT-personnel//person/bonus"))
 }
 
-/// Query mix for the batch-throughput experiment (B9): `n` queries
-/// cycling over bonus-project variants, each answerable through a TP plan
-/// over the [`v1bon`] / [`v2bon`] catalog.
-pub fn batch_queries(n: usize) -> Vec<TreePattern> {
-    let variants = [
-        "IT-personnel//person/bonus[laptop]",
-        "IT-personnel//person/bonus[pda]",
-        "IT-personnel//person/bonus[tablet]",
-        "IT-personnel//person/bonus",
-        "IT-personnel//person[name/Rick]/bonus[laptop]",
-    ];
-    (0..n).map(|i| pat(variants[i % variants.len()])).collect()
-}
-
-/// A chain query `a/a/…/a//b` with predicates `[p1]…[ps]` on every node
-/// (the Theorem 4 query; also the B1/B2 scaling shape).
-pub fn chain_query(s: usize) -> TreePattern {
-    let marks: Vec<usize> = (1..=s).collect();
-    pxv_rewrite::hardness::gadget_pattern(s, &marks)
-}
-
-/// Query of main-branch length `n + 1` with one predicate per node, used
-/// for PTime-shape measurements: `r[x]/c0[x]/…/c(n-1)[x]`.
-pub fn wide_query(n: usize, desc: bool) -> TreePattern {
-    let mut q = TreePattern::leaf(Label::new("r"));
-    let mut cur = q.root();
-    q.add_child(cur, Axis::Child, Label::new("x"));
-    for i in 0..n {
-        let axis = if desc && i % 2 == 1 {
-            Axis::Descendant
-        } else {
-            Axis::Child
-        };
-        cur = q.add_child(cur, axis, Label::new(&format!("c{i}")));
-        q.add_child(cur, Axis::Child, Label::new("x"));
-    }
-    q.set_output(cur);
-    q
-}
-
-/// A deep probabilistic chain document matching [`wide_query`]:
-/// `r/c0/c1/…` with an `x`-child behind an `ind` at every level, repeated
-/// `copies` times under the root.
-pub fn chain_pdoc(n: usize, copies: usize) -> PDocument {
-    let mut p = PDocument::new(Label::new("r"));
-    let root = p.root();
-    let ind0 = p.add_dist(root, PKind::Ind, 1.0);
-    p.add_ordinary(ind0, Label::new("x"), 0.9);
-    for c in 0..copies {
-        let mut cur = root;
-        for i in 0..n {
-            cur = p.add_ordinary(cur, Label::new(&format!("c{i}")), 1.0);
-            let ind = p.add_dist(cur, PKind::Ind, 1.0);
-            p.add_ordinary(ind, Label::new("x"), 0.5 + 0.4 / (c + 1) as f64);
-        }
-    }
-    p
-}
-
-/// Views for the `S(q,V)` scaling bench: per-node predicate restrictions
-/// of [`wide_query`] plus its bare main branch.
-pub fn decomposition_views(q: &TreePattern) -> Vec<TreePattern> {
-    let mb = q.main_branch();
-    let mut out = Vec::new();
-    for &n in &mb {
-        if q.has_predicates(n) {
-            out.push(q.filter_predicates(|m, _| m == n));
-        }
-    }
-    out.push(q.main_branch_only());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,20 +39,8 @@ mod tests {
     #[test]
     fn fixtures_build() {
         assert_eq!(qrbon().mb_len(), 3);
-        assert_eq!(chain_query(4).mb_len(), 5);
-        let q = wide_query(5, true);
-        assert_eq!(q.mb_len(), 6);
-        let p = chain_pdoc(5, 2);
-        assert!(p.validate().is_ok());
-        assert_eq!(decomposition_views(&q).len(), 7);
-    }
-
-    #[test]
-    fn wide_query_answers_on_chain_pdoc() {
-        let q = wide_query(3, false);
-        let p = chain_pdoc(3, 1);
-        let ans = pxv_peval::eval_tp(&p, &q);
-        assert_eq!(ans.len(), 1);
-        assert!(ans[0].1 > 0.0 && ans[0].1 <= 1.0);
+        assert_eq!(qbon().mb_len(), 3);
+        assert_eq!(v1bon().pattern.mb_len(), 3);
+        assert_eq!(v2bon().pattern.mb_len(), 3);
     }
 }

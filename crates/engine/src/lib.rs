@@ -3437,6 +3437,46 @@ mod tests {
     }
 
     #[test]
+    fn profiled_answers_stay_bit_identical_and_account_for_their_time() {
+        let mut e = Engine::new();
+        let doc = e
+            .add_document("p", pxv_pxml::generators::personnel(50, 3, 9).0)
+            .unwrap();
+        e.register_view(View::new("v2BON", p("IT-personnel//person/bonus")))
+            .unwrap();
+        let q = p("IT-personnel//person/bonus[laptop]");
+        let plain = e.answer(doc, &q).unwrap(); // warms the cache
+
+        let off = e.answer_with(doc, &q, &QueryOptions::new().profile(false));
+        assert!(
+            off.unwrap().profile.is_none(),
+            "profile=false attaches no breakdown"
+        );
+
+        // Aggregate a loop so one preempted query cannot dominate the
+        // ratio of the stage sum to the independently measured total.
+        let profiled = QueryOptions::new().profile(true);
+        let (mut stage_sum, mut total_sum) = (0u64, 0u64);
+        for _ in 0..50 {
+            let answer = e.answer_with(doc, &q, &profiled).unwrap();
+            assert_eq!(
+                answer.nodes, plain.nodes,
+                "profiling must not change answers"
+            );
+            let profile = answer.profile.expect("profile=true attaches a breakdown");
+            assert!(profile.total_nanos > 0, "the total is measured");
+            assert_eq!(profile.epoch, e.catalog_epoch());
+            stage_sum += profile.stage_nanos_sum();
+            total_sum += profile.total_nanos;
+        }
+        let ratio = stage_sum as f64 / total_sum as f64;
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "stages must sum to within 10% of the total, got {ratio:.3}"
+        );
+    }
+
+    #[test]
     fn batch_workers_join_the_callers_trace() {
         let (e, doc) = bonus_engine();
         let queries: Vec<_> = (0..8)

@@ -319,8 +319,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses one JSON document (std-only recursive descent; no trailing
-/// garbage tolerated). Shared by the trace checker, the e2e tests, and
-/// the `bench-diff` baseline comparator.
+/// garbage tolerated). Shared by the trace checker and the e2e tests.
 pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),

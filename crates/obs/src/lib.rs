@@ -31,7 +31,7 @@
 //!   reassembles drained spans into per-request trees.
 //! - [`export`] — Chrome `trace_event` JSON and plain-text renderings
 //!   of drained spans, plus a std-only JSON parser/checker shared by
-//!   tests, the CI trace-smoke job, and the `bench-diff` gate.
+//!   tests and the CI trace-smoke job (`harness trace-check`).
 //! - [`profile`] — the per-query flight record: a stage breakdown
 //!   (parse / plan / cache-probe / materialize / eval / serialize) that
 //!   `pxv_engine::QueryOptions::profile(true)` makes an `Answer` carry,

@@ -3,8 +3,7 @@
 //! The paper has no datasets (it is a theory paper); these generators
 //! provide (i) scalable versions of the running `personnel` example used by
 //! the motivating scenarios, and (ii) random p-documents with controlled
-//! distributional density used by the property tests and the scaling
-//! benches (B3, B5 in DESIGN.md §5).
+//! distributional density used by the property and differential tests.
 
 use crate::document::NodeId;
 use crate::label::Label;

@@ -10,11 +10,8 @@
 //! would.
 //!
 //! The stateful, memoizing entry point built on top of this module is
-//! `prxview::engine::Engine`; the free functions [`plan`] and
-//! [`answer_with_views`] are kept as deprecated shims for the pre-engine
-//! API.
+//! `prxview::engine::Engine`.
 
-use crate::fr_tp::answer_tp;
 use crate::system::SqvSystem;
 use crate::tp_rewrite::{tp_rewrite, TpRewriting};
 use crate::tpi_algorithm::{tpi_rewrite, TpiPart, TpiReject, TpiRewriting};
@@ -248,60 +245,6 @@ pub fn answer_tpi(rw: &TpiRewriting, extensions: &[ProbExtension]) -> Vec<(NodeI
     execute_tpi(rw, &|i| &extensions[i]).answers
 }
 
-/// Finds a probabilistic rewriting of `q` over `views`: single-view TP
-/// plans are preferred (cheaper, no persistent-id requirement); otherwise
-/// a TP∩ plan via TPIrewrite.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `plan_checked` (typed errors, plan preference) or `prxview::engine::Engine`"
-)]
-pub fn plan(q: &TreePattern, views: &[View], interleaving_limit: usize) -> Option<Plan> {
-    plan_checked(q, views, interleaving_limit, PlanPreference::PreferTp).ok()
-}
-
-/// The full pipeline: plan, materialize the extensions the plan
-/// references, answer. Returns `None` when no probabilistic rewriting
-/// exists (the caller must fall back to direct evaluation over `P̂`).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `prxview::engine::Engine`, which memoizes extensions across queries"
-)]
-pub fn answer_with_views(
-    pdoc: &PDocument,
-    q: &TreePattern,
-    views: &[View],
-) -> Option<(Plan, Vec<(NodeId, f64)>)> {
-    let chosen = plan_checked(
-        q,
-        views,
-        DEFAULT_INTERLEAVING_LIMIT,
-        PlanPreference::PreferTp,
-    )
-    .ok()?;
-    let answer = match &chosen {
-        Plan::Tp(rw) => {
-            let ext = ProbExtension::materialize(pdoc, &views[rw.view_index]);
-            answer_tp(rw, &ext)
-        }
-        Plan::Tpi(rw) => {
-            // Materialize only the extensions the plan's parts reference.
-            let referenced = chosen.referenced_views();
-            let extensions: Vec<Option<ProbExtension>> = (0..views.len())
-                .map(|i| {
-                    referenced
-                        .contains(&i)
-                        .then(|| ProbExtension::materialize(pdoc, &views[i]))
-                })
-                .collect();
-            execute_tpi(rw, &|i| {
-                extensions[i].as_ref().expect("plan references this view")
-            })
-            .answers
-        }
-    };
-    Some((chosen, answer))
-}
-
 /// Direct evaluation baseline (what the rewriting avoids).
 pub fn answer_direct(pdoc: &PDocument, q: &TreePattern) -> Vec<(NodeId, f64)> {
     pxv_peval::eval_tp(pdoc, q)
@@ -310,6 +253,7 @@ pub fn answer_direct(pdoc: &PDocument, q: &TreePattern) -> Vec<(NodeId, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fr_tp::answer_tp;
     use pxv_pxml::examples_paper::fig2_pper;
     use pxv_tpq::parse::parse_pattern;
 
@@ -517,17 +461,5 @@ mod tests {
         let s = pl.describe(&views);
         assert!(s.contains("doc(v2BON)"), "{s}");
         assert!(s.contains("restricted"), "{s}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let pper = fig2_pper();
-        let q = p("IT-personnel//person/bonus[laptop]");
-        let views = vec![View::new("v2BON", p("IT-personnel//person/bonus"))];
-        let pl = plan(&q, &views, 100).expect("shim plans");
-        assert!(matches!(pl, Plan::Tp(_)));
-        let (_, ans) = answer_with_views(&pper, &q, &views).expect("shim answers");
-        assert_same_answers(&ans, &answer_direct(&pper, &q), "shim");
     }
 }

@@ -47,7 +47,7 @@ pub fn hypergraph_instance(s: usize, edges: &[Vec<usize>]) -> (TreePattern, Vec<
 }
 
 /// Decides perfect matching through the rewriting machinery (the forward
-/// direction of the reduction, exercised in experiment E12/B6).
+/// direction of the reduction, exercised in experiment E12).
 pub fn matching_via_rewriting(s: usize, edges: &[Vec<usize>]) -> bool {
     let (q, views) = hypergraph_instance(s, edges);
     find_c_independent_cover(&q, &views, 10_000).is_some()

@@ -40,8 +40,6 @@ pub use answer::{
     answer_direct, execute_tpi, plan_checked, Plan, PlanError, PlanPreference, TpiExecution,
     DEFAULT_INTERLEAVING_LIMIT,
 };
-#[allow(deprecated)]
-pub use answer::{answer_with_views, plan};
 pub use cindep::c_independent;
 pub use tp_rewrite::{tp_rewrite, TpRewriting};
 pub use tpi_algorithm::{tpi_rewrite, TpiRewriting};

@@ -155,7 +155,7 @@ pub fn answer_product(rw: &ProductRewriting, views: &[VirtualView]) -> Vec<(Node
 
 /// Exhaustive search for a subset of pairwise c-independent views forming
 /// a Theorem 3 rewriting. NP-hard in general (Theorem 4) — this is the
-/// brute-force baseline measured in bench B6.
+/// brute-force baseline (see `examples/view_selection.rs`).
 pub fn find_c_independent_cover(
     q: &TreePattern,
     patterns: &[TreePattern],

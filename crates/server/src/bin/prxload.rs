@@ -5,13 +5,13 @@
 //!         [--persons N] [--storm] [--no-setup] [--quiet]
 //! ```
 //!
-//! Unless `--no-setup` is given, it first provisions the B10 workload on
-//! the server over the wire: a generated `personnel` p-document (seeded,
+//! Unless `--no-setup` is given, it first provisions the personnel workload
+//! (document name `b10`) on the server over the wire: a generated `personnel` p-document (seeded,
 //! so every run and every in-process benchmark sees the same data), the
 //! paper's `v1BON`/`v2BON` views, and a `WARM` pass. It then opens
 //! `--connections` parallel clients, each issuing `--requests` `QUERY`s
-//! round-robin over the bonus-query mix (the same mix as the harness's
-//! batch experiments), and reports aggregate throughput, per-connection
+//! round-robin over the bonus-query mix (the same mix as prxbench's
+//! warm-eval workload), and reports aggregate throughput, per-connection
 //! latency, and the server's protocol-error count. Exit code is non-zero
 //! if any request failed — the CI smoke job asserts a zero-error burst.
 //!
@@ -28,8 +28,8 @@ use std::time::Instant;
 /// Document name used by the generated workload.
 const DOC: &str = "b10";
 
-/// The B10 query mix (mirrors `pxv_bench::batch_queries`; duplicated here
-/// because depending on the bench crate would cycle the crate graph).
+/// The bonus-query mix (mirrors `personnel_queries` in prxbench's
+/// `fixture.rs`, which is a separate package this binary cannot depend on).
 const QUERIES: [&str; 5] = [
     "IT-personnel//person/bonus[laptop]",
     "IT-personnel//person/bonus[pda]",

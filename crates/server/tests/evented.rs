@@ -411,10 +411,9 @@ fn reader_answers_stay_bit_identical_and_bounded_during_update_storm() {
     assert!(stormy.len() >= 300);
     assert_eq!(handle.stats().errors, 0, "no request errored either side");
     let (pq, ps) = (p99(quiet), p99(stormy));
-    // The hard 3× acceptance bound is asserted in the B14 bench, where
-    // the run is long enough to be stable; here the floor absorbs CI
-    // scheduler noise while still catching actual reader/writer
-    // blocking (which shows up as tens of milliseconds, not 3×).
+    // The 25 ms floor absorbs CI scheduler noise while still catching
+    // actual reader/writer blocking (which shows up as tens of
+    // milliseconds, not 3×).
     let bound = (pq * 3).max(Duration::from_millis(25));
     assert!(
         ps <= bound,

@@ -174,7 +174,7 @@ pub fn encode_snapshot(s: &Snapshot) -> Vec<u8> {
 }
 
 /// Serializes a snapshot in the legacy row-oriented version-2 format.
-/// Kept for size/speed comparisons (the `[B17]` benchmark) and for
+/// Kept for size comparisons (`tests/snapshot_columnar.rs`) and for
 /// exercising the backward-compatibility decode paths; new files should
 /// use [`encode_snapshot`].
 pub fn encode_snapshot_v2(s: &Snapshot) -> Vec<u8> {

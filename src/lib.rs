@@ -54,61 +54,3 @@ pub use pxv_rewrite as rewrite;
 pub use pxv_server as server;
 pub use pxv_store as store;
 pub use pxv_tpq as tpq;
-
-use pxv_pxml::{NodeId, PDocument};
-use pxv_tpq::TreePattern;
-
-/// `q(P̂)` by direct evaluation over the p-document.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `engine::Engine::answer_direct` (or `peval::eval_tp` when no engine is in play)"
-)]
-pub fn eval_tp(pdoc: &PDocument, q: &TreePattern) -> Vec<(NodeId, f64)> {
-    pxv_peval::eval_tp(pdoc, q)
-}
-
-/// Finds a probabilistic rewriting of `q` over `views`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `engine::Engine::plan` (typed `PlanError`, options) instead"
-)]
-pub fn plan(
-    q: &TreePattern,
-    views: &[rewrite::View],
-    interleaving_limit: usize,
-) -> Option<rewrite::Plan> {
-    rewrite::answer::plan_checked(
-        q,
-        views,
-        interleaving_limit,
-        rewrite::PlanPreference::PreferTp,
-    )
-    .ok()
-}
-
-/// Plans and answers `q` from freshly materialized view extensions.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `engine::Engine::answer`, which memoizes extensions across queries"
-)]
-#[allow(deprecated)]
-pub fn answer_with_views(
-    pdoc: &PDocument,
-    q: &TreePattern,
-    views: &[rewrite::View],
-) -> Option<(rewrite::Plan, Vec<(NodeId, f64)>)> {
-    rewrite::answer_with_views(pdoc, q, views)
-}
-
-/// Runs TPIrewrite directly (Fig. 7).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `engine::Engine::plan` with `PlanPreference::TpiOnly` instead"
-)]
-pub fn tpi_rewrite(
-    q: &TreePattern,
-    views: &[rewrite::View],
-    interleaving_limit: usize,
-) -> Result<rewrite::TpiRewriting, rewrite::tpi_algorithm::TpiReject> {
-    rewrite::tpi_algorithm::tpi_rewrite(q, views, interleaving_limit)
-}
