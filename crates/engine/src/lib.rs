@@ -2,7 +2,7 @@
 //! with lazily-materialized, memoized extensions, and an [`Engine`] that
 //! answers queries touching only those extensions — sequentially or in
 //! concurrent batches. (Re-exported as `prxview::engine`; the TCP serving
-//! layer in `pxv-server` wraps one shared `Engine` behind a socket.)
+//! layer in `pxv-server` wraps an [`EpochEngine`] behind a socket.)
 //!
 //! This is the session-style surface of the library — the paper's
 //! scenario (§1, §7) is a warehouse that materializes view extensions
@@ -39,10 +39,13 @@
 //!
 //! # Concurrency
 //!
-//! All query paths take `&self`: the catalog's extension cache is sharded
-//! under interior mutability ([`RwLock`] shards keyed by a hash of the
-//! `(document, view)` pair) and lifetime counters are atomics, so any
-//! number of threads may answer queries against one engine concurrently.
+//! Every mutation takes `&mut self`, so a shared engine changes only
+//! through [`EpochEngine::update`], which clones it, mutates the clone
+//! and publishes it atomically. All query paths take `&self`: the
+//! catalog's extension cache is sharded under interior mutability
+//! ([`RwLock`] shards keyed by a hash of the `(document, view)` pair) and
+//! lifetime counters are atomics, so any number of threads may answer
+//! queries against one engine concurrently.
 //! [`Engine::answer_batch`] runs a slice of queries on a small
 //! hand-rolled worker pool (scoped `std::thread`s pulling indices off an
 //! atomic cursor). Materialization is *single-flight*: when two threads
@@ -515,11 +518,6 @@ impl AtomicDocStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
         }
     }
-
-    fn reset(&self) {
-        self.materializations.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-    }
 }
 
 /// One cache entry. The outer `Arc` lets a reader leave the shard lock
@@ -541,11 +539,11 @@ const ACCT_RETIRED: u8 = 2;
 /// Cost/benefit bookkeeping of one cache slot. `bytes` and
 /// `rebuild_nanos` are written once when the materialization completes;
 /// `hits` counts every read served from the completed slot (the benefit
-/// side of the eviction score); `acct` is a tiny state machine that makes
-/// the byte gauge exact under races between a completing materialization
-/// and a concurrent eviction/invalidation of the same key — exactly one
-/// side wins the `PENDING → {CHARGED, RETIRED}` transition, so bytes are
-/// never double-charged or double-released.
+/// side of the eviction score); `acct` is a tiny state machine that keeps
+/// the byte gauge exact while concurrent queries charge and evict: a slot
+/// is charged at most once (`PENDING → CHARGED`) and released at most
+/// once (`→ RETIRED`), so bytes are never double-charged or
+/// double-released.
 #[derive(Debug, Default)]
 struct SlotMeta {
     bytes: AtomicU64,
@@ -643,7 +641,7 @@ pub struct Catalog {
     /// different extensions never serialize on one mutex.
     shards: Vec<RwLock<HashMap<(usize, usize), CacheEntry>>>,
     /// Byte budget; `u64::MAX` means unbounded.
-    budget: AtomicU64,
+    budget: u64,
     /// Bytes currently charged by completed, admitted slots.
     bytes: AtomicU64,
     /// Budget-driven evictions (lifetime).
@@ -667,7 +665,7 @@ impl Default for Catalog {
             shards: (0..CATALOG_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
-            budget: AtomicU64::new(u64::MAX),
+            budget: u64::MAX,
             bytes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             admission_rejects: AtomicU64::new(0),
@@ -751,7 +749,7 @@ impl Clone for Catalog {
             views: self.views.clone(),
             by_name: self.by_name.clone(),
             shards,
-            budget: AtomicU64::new(self.budget.load(Ordering::Relaxed)),
+            budget: self.budget,
             bytes: AtomicU64::new(bytes),
             evictions: AtomicU64::new(self.evictions.load(Ordering::Relaxed)),
             admission_rejects: AtomicU64::new(self.admission_rejects.load(Ordering::Relaxed)),
@@ -834,14 +832,14 @@ impl Catalog {
 
     /// The configured byte budget (`u64::MAX` = unbounded).
     pub fn budget(&self) -> u64 {
-        self.budget.load(Ordering::Relaxed)
+        self.budget
     }
 
     /// Sets the byte budget and immediately enforces it (shrinking the
     /// budget under a warm cache evicts the lowest-score extensions until
     /// the gauge fits).
-    pub fn set_budget(&self, bytes: u64) {
-        self.budget.store(bytes, Ordering::Relaxed);
+    pub fn set_budget(&mut self, bytes: u64) {
+        self.budget = bytes;
         self.enforce_budget(None);
     }
 
@@ -884,8 +882,7 @@ impl Catalog {
 
     /// Releases an entry's byte charge exactly once (the
     /// `PENDING/CHARGED → RETIRED` transition). Returns the bytes
-    /// released, 0 when the entry was never charged (still in flight, or
-    /// already retired by a racing remover).
+    /// released, 0 when the entry was never charged.
     fn retire(&self, entry: &CacheEntry) -> u64 {
         if entry
             .meta
@@ -902,8 +899,7 @@ impl Catalog {
             self.bytes.fetch_sub(released, Ordering::Relaxed);
             released
         } else {
-            // PENDING → RETIRED: the materializer, when it completes,
-            // will lose its own compare-exchange and skip the charge.
+            // PENDING → RETIRED: never charged, nothing to release.
             entry.meta.acct.store(ACCT_RETIRED, Ordering::Release);
             0
         }
@@ -926,8 +922,7 @@ impl Catalog {
     /// mis-evicted.
     fn enforce_budget(&self, newest: Option<(usize, usize)>) {
         loop {
-            let budget = self.budget.load(Ordering::Relaxed);
-            if self.bytes.load(Ordering::Relaxed) <= budget {
+            if self.bytes.load(Ordering::Relaxed) <= self.budget {
                 return;
             }
             // Lowest score loses; ties break on the larger key so the
@@ -992,29 +987,23 @@ impl Catalog {
     /// document's content). Returns how many materialized extensions were
     /// evicted. Prefer [`Engine::invalidate`], which also resets the
     /// document's [`DocStats`] counters.
-    pub fn invalidate(&self, doc: DocId) -> usize {
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let mut removed = Vec::new();
-            {
-                let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
-                map.retain(|&(d, _), entry| {
+    pub fn invalidate(&mut self, doc: DocId) -> usize {
+        let mut removed = Vec::new();
+        for shard in &mut self.shards {
+            shard
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .retain(|&(d, _), entry| {
                     if d == doc.0 {
-                        if entry.slot.get().is_some() {
-                            evicted += 1;
-                        }
                         removed.push(entry.clone());
-                        false
-                    } else {
-                        true
                     }
+                    d != doc.0
                 });
-            }
-            for entry in removed {
-                self.retire(&entry);
-            }
         }
-        evicted
+        for entry in &removed {
+            self.retire(entry);
+        }
+        removed.iter().filter(|e| e.slot.get().is_some()).count()
     }
 
     /// Every cache entry a snapshot should persist, as `(doc index, view
@@ -1073,7 +1062,7 @@ impl Catalog {
     /// snapshot). The caller guarantees the indices are in range and runs
     /// budget enforcement after its batch of installs.
     fn install_entry(
-        &self,
+        &mut self,
         doc: usize,
         view: usize,
         ext: Arc<ProbExtension>,
@@ -1095,7 +1084,7 @@ impl Catalog {
             pending: None,
         };
         let replaced = self.shards[shard_index(key)]
-            .write()
+            .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(key, entry);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -1110,7 +1099,7 @@ impl Catalog {
     /// Nothing is charged to the byte gauge until the fault completes.
     /// The caller guarantees the indices are in range.
     fn install_pending(
-        &self,
+        &mut self,
         doc: usize,
         view: usize,
         section: pxv_store::ExtSectionRef,
@@ -1133,7 +1122,7 @@ impl Catalog {
             })),
         };
         let replaced = self.shards[shard_index(key)]
-            .write()
+            .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(key, entry);
         if let Some(old) = replaced {
@@ -1143,11 +1132,7 @@ impl Catalog {
 
     /// Every *completed* cached extension of `doc` as `(view index,
     /// extension, hits, rebuild nanos)`, sorted by view index — the set
-    /// the update path maintains across an edit. In-flight
-    /// materializations are skipped; they belong to the pre-edit
-    /// document, and the update's commit step evicts their slots so they
-    /// finish orphaned (private to the query that started them) instead
-    /// of publishing stale state.
+    /// the update path maintains across an edit.
     fn completed_for(&self, doc: usize) -> Vec<(usize, Arc<ProbExtension>, u64, u64)> {
         let mut out: Vec<(usize, Arc<ProbExtension>, u64, u64)> = self
             .shards
@@ -1173,29 +1158,20 @@ impl Catalog {
         out
     }
 
-    /// The memoized extension of view `view_idx` over the document
-    /// `fetch` returns; materializes on first use. Returns the extension
+    /// The memoized extension of view `view_idx` over `pdoc` (document
+    /// `doc`'s content); materializes on first use. Returns the extension
     /// and whether it was a cache hit (single-flight waiters count as
     /// hits — they did not materialize).
     ///
-    /// `fetch` runs *inside* the materializing closure, not before the
-    /// slot lookup: it re-reads the engine's current document under its
-    /// per-document lock, so a materialization whose slot was inserted
-    /// after an `apply_edits` commit can only ever see the post-edit
-    /// document — a query still holding a pre-edit snapshot cannot
-    /// publish a stale extension into the shared cache.
-    ///
     /// A completing materialization charges its measured footprint to the
-    /// byte gauge — but only if its slot is still the one in the map
-    /// (`PENDING → CHARGED`; a concurrent invalidation retires the slot
-    /// first and wins that race instead) — and then runs budget
-    /// enforcement, which may immediately reject the new entry itself.
-    /// Either way the caller keeps the returned `Arc`: budget pressure
+    /// byte gauge and then runs budget enforcement, which may immediately
+    /// reject the new entry itself (as may a concurrent query's
+    /// enforcement, which can evict any charged slot). Either way the caller keeps the returned `Arc`: budget pressure
     /// affects what the *shared* cache retains, never the answer.
     fn extension(
         &self,
         doc: usize,
-        fetch: impl Fn() -> Arc<PDocument>,
+        pdoc: &PDocument,
         view_idx: usize,
     ) -> Result<(Arc<ProbExtension>, Probe), EngineError> {
         let key = (doc, view_idx);
@@ -1211,7 +1187,7 @@ impl Catalog {
         // Lazily restored entries decode their snapshot section on first
         // probe instead of materializing from the document.
         if let Some(pending) = entry.pending.clone() {
-            return self.fault_section(key, &entry, &pending, fetch);
+            return self.fault_section(key, &entry, &pending, pdoc);
         }
         // Single-flight: get_or_init runs the closure in exactly one
         // thread; racing threads block here and share the result, so the
@@ -1220,7 +1196,7 @@ impl Catalog {
         let ext = Arc::clone(entry.slot.get_or_init(|| {
             materialized = true;
             let start = Instant::now();
-            let built = Arc::new(ProbExtension::materialize(&fetch(), &self.views[view_idx]));
+            let built = Arc::new(ProbExtension::materialize(pdoc, &self.views[view_idx]));
             entry
                 .meta
                 .rebuild_nanos
@@ -1247,9 +1223,9 @@ impl Catalog {
     }
 
     /// Charges a slot's measured bytes to the gauge exactly once
-    /// (`PENDING → CHARGED`; a concurrent invalidation retires the slot
-    /// first and wins the race instead) and then enforces the budget,
-    /// which may immediately reject the entry itself.
+    /// (`PENDING → CHARGED`: of two probes racing to charge one faulted
+    /// slot, one wins) and then enforces the budget, which may
+    /// immediately reject the entry itself.
     fn charge(&self, key: (usize, usize), entry: &CacheEntry) {
         let charged = entry
             .meta
@@ -1281,7 +1257,7 @@ impl Catalog {
         key: (usize, usize),
         entry: &CacheEntry,
         pending: &PendingBody,
-        fetch: impl Fn() -> Arc<PDocument>,
+        pdoc: &PDocument,
     ) -> Result<(Arc<ProbExtension>, Probe), EngineError> {
         let hit = |ext: &Arc<ProbExtension>| {
             if entry.meta.acct.load(Ordering::Relaxed) == ACCT_PENDING {
@@ -1319,7 +1295,6 @@ impl Catalog {
         // The eager restore path cross-checks every original-node
         // reference against the target document before serving; the lazy
         // path runs exactly that check at fault time.
-        let pdoc = fetch();
         let consistent = |ext_node: NodeId, orig: NodeId| {
             pdoc.contains(orig) && pdoc.label(orig) == ext.pdoc.label(ext_node)
         };
@@ -1410,6 +1385,21 @@ struct PlanEntry {
 
 type PlanCache = RwLock<HashMap<PlanKey, PlanEntry>>;
 
+/// Drops the `n` least-recently-used plans (ties break on the key).
+fn drop_lru(map: &mut HashMap<PlanKey, PlanEntry>, n: usize) {
+    if n == 0 {
+        return;
+    }
+    let mut ticks: Vec<(u64, PlanKey)> = map
+        .iter()
+        .map(|(k, e)| (e.last_used.load(Ordering::Relaxed), k.clone()))
+        .collect();
+    ticks.sort();
+    for (_, victim) in ticks.into_iter().take(n) {
+        map.remove(&victim);
+    }
+}
+
 /// Default upper bound on cached plans
 /// ([`Engine::set_plan_cache_capacity`] overrides it at runtime). Keys
 /// are client-controlled (every distinct canonical query × options is
@@ -1475,38 +1465,29 @@ impl QueryLog {
 
 /// The stateful query-answering engine (see the module docs for a tour).
 ///
-/// Registration (`add_document`, `register_view`) takes `&mut self`;
-/// every query path (`answer*`, `plan*`, `warm`) takes `&self` and is
-/// safe to call from many threads at once. Mutation of *existing*
-/// documents ([`Engine::apply_edits`], [`Engine::invalidate`],
-/// [`Engine::replace_document`]) also takes `&self` — document slots sit
-/// behind per-document locks, the catalog is sharded, and the epoch is
-/// atomic — so a served (shared) engine can be updated in place. Writers
-/// are internally consistent but a query racing an `apply_edits` call on
-/// the *same document* may observe the pre-edit extension of one view and
-/// the post-edit extension of another; when cross-view consistency
-/// matters, either serialize updates against queries or — as the `prxd`
-/// server does — wrap the engine in an [`EpochEngine`] so edits prepare
-/// a fresh engine off to the side and publish it atomically.
+/// One write discipline: every mutation of documents, views, the cache
+/// budget, the plan-cache capacity or the catalog epoch takes
+/// `&mut self` (`add_document`, `register_view`, [`Engine::apply_edits`],
+/// [`Engine::invalidate`], [`Engine::replace_document`],
+/// [`Engine::set_cache_budget`], …). Every query path (`answer*`,
+/// `plan*`, `warm`) takes `&self` and is safe to call from many threads
+/// at once; readers only fill caches and counters. A served engine is
+/// therefore changed by wrapping it in an [`EpochEngine`], whose
+/// [`EpochEngine::update`] runs the mutation on a private clone and
+/// publishes it atomically — a query never sees a half-applied write.
 ///
 /// # Lock poisoning
 ///
 /// Every internal lock acquisition recovers from poisoning
 /// (`unwrap_or_else(PoisonError::into_inner)`) instead of propagating the
-/// panic. This is sound because guarded values are only ever replaced
-/// wholesale (document slots swap a whole `Arc`) or hold *cache* state
+/// panic. This is sound because the locks only guard *cache* state
 /// (extensions, plans, the query log) that is recomputable by
-/// construction; [`Engine::apply_edits`] commits by evicting before
-/// reinstalling, so an unwind mid-commit leaves the cache cold for that
-/// document, never stale. Without recovery, one panicking request would
-/// turn every subsequent lock acquisition into a panic — a death spiral
-/// the serving-layer regression tests pin down.
+/// construction. Without recovery, one panicking request would turn
+/// every subsequent lock acquisition into a panic — a death spiral the
+/// serving-layer regression tests pin down.
 #[derive(Debug)]
 pub struct Engine {
-    /// Per-document slots: the `Vec` only grows (under `&mut` in
-    /// [`Engine::add_document`]); each slot's content is swappable under
-    /// `&self` through its own lock.
-    documents: Vec<RwLock<Arc<PDocument>>>,
+    documents: Vec<Arc<PDocument>>,
     doc_names: HashMap<String, usize>,
     doc_stats: Vec<AtomicDocStats>,
     catalog: Catalog,
@@ -1514,9 +1495,9 @@ pub struct Engine {
     stats: AtomicEngineStats,
     plan_cache: PlanCache,
     plan_tick: AtomicU64,
-    plan_cache_capacity: AtomicUsize,
+    plan_cache_capacity: usize,
     query_log: Mutex<QueryLog>,
-    catalog_epoch: AtomicU64,
+    catalog_epoch: u64,
 }
 
 impl Default for Engine {
@@ -1530,9 +1511,9 @@ impl Default for Engine {
             stats: AtomicEngineStats::default(),
             plan_cache: RwLock::new(HashMap::new()),
             plan_tick: AtomicU64::new(0),
-            plan_cache_capacity: AtomicUsize::new(PLAN_CACHE_CAPACITY),
+            plan_cache_capacity: PLAN_CACHE_CAPACITY,
             query_log: Mutex::new(QueryLog::default()),
-            catalog_epoch: AtomicU64::new(0),
+            catalog_epoch: 0,
         }
     }
 }
@@ -1540,15 +1521,7 @@ impl Default for Engine {
 impl Clone for Engine {
     fn clone(&self) -> Engine {
         Engine {
-            documents: self
-                .documents
-                .iter()
-                .map(|slot| {
-                    RwLock::new(Arc::clone(
-                        &slot.read().unwrap_or_else(PoisonError::into_inner),
-                    ))
-                })
-                .collect(),
+            documents: self.documents.clone(),
             doc_names: self.doc_names.clone(),
             doc_stats: self
                 .doc_stats
@@ -1581,14 +1554,14 @@ impl Clone for Engine {
                     .collect(),
             ),
             plan_tick: AtomicU64::new(self.plan_tick.load(Ordering::Relaxed)),
-            plan_cache_capacity: AtomicUsize::new(self.plan_cache_capacity.load(Ordering::Relaxed)),
+            plan_cache_capacity: self.plan_cache_capacity,
             query_log: Mutex::new(
                 self.query_log
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .clone(),
             ),
-            catalog_epoch: AtomicU64::new(self.catalog_epoch.load(Ordering::SeqCst)),
+            catalog_epoch: self.catalog_epoch,
         }
     }
 }
@@ -1626,19 +1599,23 @@ impl Engine {
             .map_err(|e| EngineError::InvalidDocument(e.to_string()))?;
         let id = DocId(self.documents.len());
         self.doc_names.insert(name, id.0);
-        self.documents.push(RwLock::new(Arc::new(pdoc)));
+        self.documents.push(Arc::new(pdoc));
         self.doc_stats.push(AtomicDocStats::default());
         Ok(id)
     }
 
-    /// The document behind a handle — a cheap shared snapshot of the
-    /// slot's current content ([`Engine::apply_edits`] and
-    /// [`Engine::replace_document`] swap the slot; handles already taken
-    /// keep the content they saw).
+    /// The document behind a handle — a cheap shared handle to its
+    /// current content ([`Engine::apply_edits`] and
+    /// [`Engine::replace_document`] install new content; handles already
+    /// taken keep the content they saw).
     pub fn document(&self, id: DocId) -> Result<Arc<PDocument>, EngineError> {
+        self.pdoc(id).map(Arc::clone)
+    }
+
+    /// The document behind a handle, borrowed.
+    fn pdoc(&self, id: DocId) -> Result<&Arc<PDocument>, EngineError> {
         self.documents
             .get(id.0)
-            .map(|slot| Arc::clone(&slot.read().unwrap_or_else(PoisonError::into_inner)))
             .ok_or(EngineError::UnknownDocument(id))
     }
 
@@ -1656,14 +1633,13 @@ impl Engine {
     /// extensions (resetting the document's [`DocStats`]). For localized
     /// changes prefer [`Engine::apply_edits`], which *keeps* the cache
     /// warm by maintaining extensions incrementally.
-    pub fn replace_document(&self, id: DocId, pdoc: PDocument) -> Result<(), EngineError> {
+    pub fn replace_document(&mut self, id: DocId, pdoc: PDocument) -> Result<(), EngineError> {
         pdoc.validate()
             .map_err(|e| EngineError::InvalidDocument(e.to_string()))?;
-        let slot = self
+        *self
             .documents
-            .get(id.0)
-            .ok_or(EngineError::UnknownDocument(id))?;
-        *slot.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(pdoc);
+            .get_mut(id.0)
+            .ok_or(EngineError::UnknownDocument(id))? = Arc::new(pdoc);
         self.invalidate(id)?;
         Ok(())
     }
@@ -1671,15 +1647,11 @@ impl Engine {
     /// Drops every cached extension of `doc` and resets the document's
     /// [`DocStats`] counters, so post-invalidation queries report
     /// re-materializations rather than stale cache hits. Returns how many
-    /// materialized extensions were evicted. Takes `&self`: eviction runs
-    /// on the catalog's interior-mutability write path, so a shared
-    /// (served) engine can be invalidated without exclusive access.
-    pub fn invalidate(&self, doc: DocId) -> Result<usize, EngineError> {
-        if doc.0 >= self.documents.len() {
-            return Err(EngineError::UnknownDocument(doc));
-        }
+    /// materialized extensions were evicted.
+    pub fn invalidate(&mut self, doc: DocId) -> Result<usize, EngineError> {
+        self.pdoc(doc)?;
         let evicted = self.catalog.invalidate(doc);
-        self.doc_stats[doc.0].reset();
+        self.doc_stats[doc.0] = AtomicDocStats::default();
         if evicted > 0 {
             self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
         }
@@ -1732,22 +1704,14 @@ impl Engine {
     /// assert_eq!(again.stats.materializations, 0);
     /// assert!((again.nodes[0].1 - 0.25).abs() < 1e-12);
     /// ```
-    pub fn apply_edits(&self, doc: DocId, edits: &[Edit]) -> Result<UpdateReport, EngineError> {
-        let slot = self
-            .documents
-            .get(doc.0)
-            .ok_or(EngineError::UnknownDocument(doc))?;
+    pub fn apply_edits(&mut self, doc: DocId, edits: &[Edit]) -> Result<UpdateReport, EngineError> {
+        // Build the chain of intermediate documents (edit k maps state k
+        // to state k+1) on private copies — one clone per edit, nothing
+        // installed until every edit has validated.
+        let mut states = vec![Arc::clone(self.pdoc(doc)?)];
         if edits.is_empty() {
             return Ok(UpdateReport::default());
         }
-        // Serialize writers on this document for the whole operation; the
-        // swap at the end publishes the post-edit state.
-        let mut guard = slot.write().unwrap_or_else(PoisonError::into_inner);
-        // Build the chain of intermediate documents (edit k maps state k
-        // to state k+1) on private copies — one clone per edit, nothing
-        // published until every edit has validated.
-        let mut states: Vec<Arc<PDocument>> = Vec::with_capacity(edits.len() + 1);
-        states.push(Arc::clone(&guard));
         let mut effects = Vec::with_capacity(edits.len());
         for edit in edits {
             let mut next = (**states.last().expect("seeded")).clone();
@@ -1777,16 +1741,7 @@ impl Engine {
             maintained.push((view_idx, cur, hits, rebuild_nanos));
         }
         report.extensions_maintained = maintained.len();
-        // Commit — still under the per-document write lock, so a second
-        // apply_edits on the same document cannot read the new document
-        // with the old cache (it blocks on the guard until the catalog
-        // matches the published state). Evicting the document's slots
-        // first also orphans any *in-flight* materialization another
-        // query started against the pre-edit document: that query keeps
-        // its private slot handle and finishes with a consistent
-        // pre-edit answer, but the stale slot can never be published to
-        // later queries.
-        *guard = states.pop().expect("seeded");
+        self.documents[doc.0] = states.pop().expect("seeded");
         self.catalog.invalidate(doc);
         for (view_idx, ext, hits, rebuild_nanos) in maintained {
             // Maintained entries keep their learned score components: an
@@ -1795,11 +1750,9 @@ impl Engine {
                 .install_entry(doc.0, view_idx, ext, rebuild_nanos, hits);
         }
         // Maintenance may have grown extensions past the budget; enforce
-        // once for the whole batch (inside the document lock, so later
-        // writers see a settled cache).
+        // once for the whole batch.
         self.catalog.enforce_budget(None);
         self.bump_epoch();
-        drop(guard);
         self.stats
             .edits_applied
             .fetch_add(report.edits as u64, Ordering::Relaxed);
@@ -1823,10 +1776,10 @@ impl Engine {
 
     /// Advances the catalog epoch and drops every cached plan (they are
     /// keyed by the old epoch and could never be read again anyway).
-    fn bump_epoch(&self) {
-        self.catalog_epoch.fetch_add(1, Ordering::SeqCst);
+    fn bump_epoch(&mut self) {
+        self.catalog_epoch += 1;
         self.plan_cache
-            .write()
+            .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
     }
@@ -1837,7 +1790,7 @@ impl Engine {
     /// one epoch, and snapshot staleness (`pxv_store::Store::is_stale`)
     /// compares against it.
     pub fn catalog_epoch(&self) -> u64 {
-        self.catalog_epoch.load(Ordering::SeqCst)
+        self.catalog_epoch
     }
 
     /// Registers several views, stopping at the first error.
@@ -1869,7 +1822,7 @@ impl Engine {
     /// immediately evicts down to it. Budget pressure only affects what
     /// the shared cache *retains* — answers stay bit-identical, evicted
     /// extensions simply rematerialize on next use.
-    pub fn set_cache_budget(&self, bytes: u64) {
+    pub fn set_cache_budget(&mut self, bytes: u64) {
         self.catalog.set_budget(bytes);
     }
 
@@ -1894,9 +1847,7 @@ impl Engine {
     /// call does implicitly, exposed for replaying an offline workload
     /// trace with explicit multiplicities.
     pub fn record_query(&self, doc: DocId, q: &TreePattern, count: u64) -> Result<(), EngineError> {
-        if doc.0 >= self.documents.len() {
-            return Err(EngineError::UnknownDocument(doc));
-        }
+        self.pdoc(doc)?;
         if count > 0 {
             self.query_log
                 .lock()
@@ -1939,12 +1890,12 @@ impl Engine {
 
     /// Empties the workload log (e.g. after acting on an
     /// [`AdvisorReport`], so the next report reflects fresh demand).
-    pub fn clear_query_log(&self) {
-        let mut log = self
-            .query_log
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        log.entries.clear();
+    pub fn clear_query_log(&mut self) {
+        self.query_log
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entries
+            .clear();
     }
 
     /// Mines the workload log for candidate views and scores them
@@ -2042,21 +1993,13 @@ impl Engine {
             .plan_cache
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let cap = self.plan_cache_capacity.load(Ordering::Relaxed).max(1);
+        let cap = self.plan_cache_capacity;
         if map.len() >= cap && !map.contains_key(&key) {
             // LRU-ish eviction: drop the least-recently-used entries —
             // at least an eighth of the cache — so a stream of unique
             // queries pays the O(n) scan once per batch, not per miss.
             let excess = map.len() + 1 - cap;
-            let drop_n = excess.max(cap / 8).min(map.len());
-            let mut ticks: Vec<(u64, PlanKey)> = map
-                .iter()
-                .map(|(k, e)| (e.last_used.load(Ordering::Relaxed), k.clone()))
-                .collect();
-            ticks.sort();
-            for (_, victim) in ticks.into_iter().take(drop_n) {
-                map.remove(&victim);
-            }
+            drop_lru(&mut map, excess.max(cap / 8));
         }
         let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = map.entry(key).or_insert_with(|| PlanEntry {
@@ -2068,29 +2011,18 @@ impl Engine {
 
     /// Sets the plan-cache capacity (entries, not bytes) and immediately
     /// evicts down to it. A capacity of 0 is treated as 1.
-    pub fn set_plan_cache_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.plan_cache_capacity.store(capacity, Ordering::Relaxed);
-        let mut map = self
+    pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
+        self.plan_cache_capacity = capacity.max(1);
+        let map = self
             .plan_cache
-            .write()
+            .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        if map.len() > capacity {
-            let drop_n = map.len() - capacity;
-            let mut ticks: Vec<(u64, PlanKey)> = map
-                .iter()
-                .map(|(k, e)| (e.last_used.load(Ordering::Relaxed), k.clone()))
-                .collect();
-            ticks.sort();
-            for (_, victim) in ticks.into_iter().take(drop_n) {
-                map.remove(&victim);
-            }
-        }
+        drop_lru(map, map.len().saturating_sub(self.plan_cache_capacity));
     }
 
     /// The configured plan-cache capacity.
     pub fn plan_cache_capacity(&self) -> usize {
-        self.plan_cache_capacity.load(Ordering::Relaxed)
+        self.plan_cache_capacity
     }
 
     /// Number of plans currently cached.
@@ -2105,11 +2037,10 @@ impl Engine {
     /// number of extensions newly made resident (materialized, or faulted
     /// in from a lazy snapshot section).
     pub fn warm(&self, doc: DocId) -> Result<usize, EngineError> {
-        self.document(doc)?;
-        let fetch = || self.document(doc).expect("doc checked above");
+        let pdoc = self.pdoc(doc)?;
         let mut new = 0;
         for i in 0..self.catalog.views.len() {
-            let (_, probe) = self.catalog.extension(doc.0, fetch, i)?;
+            let (_, probe) = self.catalog.extension(doc.0, pdoc, i)?;
             match probe {
                 Probe::Hit => {}
                 Probe::Faulted => new += 1,
@@ -2139,7 +2070,7 @@ impl Engine {
         q: &TreePattern,
         options: &QueryOptions,
     ) -> Result<Answer, EngineError> {
-        self.document(doc)?;
+        let pdoc = self.pdoc(doc)?;
         // When profiling is off (the default) every timing site below is
         // a `None` branch — no clocks are read, so the answer path is
         // bit-identical to an uninstrumented run. The spans are equally
@@ -2170,7 +2101,7 @@ impl Engine {
                         let t_eval = t_total.map(|_| Instant::now());
                         let _span = pxv_obs::Span::enter("eval");
                         let mut answer = self.direct_answer(
-                            doc,
+                            pdoc,
                             q,
                             format!("direct evaluation (fallback: {e})"),
                         );
@@ -2195,13 +2126,12 @@ impl Engine {
         let mut mats = 0;
         let mut probe_nanos = 0u64;
         let mut materialize_nanos = 0u64;
-        let fetch = || self.document(doc).expect("doc checked above");
         let mut slots: HashMap<usize, Arc<ProbExtension>> = HashMap::new();
         for &i in &referenced {
             let mut span_probe = pxv_obs::Span::enter("probe");
             span_probe.record("view", i as u64);
             let t_ext = t_total.map(|_| Instant::now());
-            let (ext, probe) = self.catalog.extension(doc.0, fetch, i)?;
+            let (ext, probe) = self.catalog.extension(doc.0, pdoc, i)?;
             span_probe.record("hit", (probe != Probe::Materialized) as u64);
             span_probe.record("fault", (probe == Probe::Faulted) as u64);
             if let Some(t) = t_ext {
@@ -2378,11 +2308,7 @@ impl Engine {
         }
         let documents = names
             .into_iter()
-            .zip(
-                self.documents
-                    .iter()
-                    .map(|slot| (**slot.read().unwrap_or_else(PoisonError::into_inner)).clone()),
-            )
+            .zip(self.documents.iter().map(|pdoc| (**pdoc).clone()))
             .collect();
         let extensions = self
             .catalog
@@ -2442,7 +2368,7 @@ impl Engine {
         // Adopt the snapshot's epoch (registration bumped a fresh
         // counter; plan-cache entries are keyed by epoch, and the cache
         // is empty, so this is purely the generation label).
-        engine.catalog_epoch.store(snapshot.epoch, Ordering::SeqCst);
+        engine.catalog_epoch = snapshot.epoch;
         Ok(engine)
     }
 
@@ -2490,9 +2416,7 @@ impl Engine {
                 ext.view.name, view.name
             )));
         }
-        let pdoc = self
-            .document(DocId(doc))
-            .map_err(|e| StoreError::Invalid(e.to_string()))?;
+        let pdoc = &self.documents[doc];
         let consistent = |ext_node: NodeId, orig: NodeId| {
             pdoc.contains(orig) && pdoc.label(orig) == ext.pdoc.label(ext_node)
         };
@@ -2507,7 +2431,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Rebuilds an engine from a [`LazySnapshot`] (see
+    /// Rebuilds an engine from a [`pxv_store::LazySnapshot`] (see
     /// [`pxv_store::decode_snapshot_lazy`]): documents and views are
     /// installed eagerly, but each still-encoded extension section is
     /// parked as a pending catalog slot holding only a reference into the
@@ -2555,7 +2479,7 @@ impl Engine {
             }
         }
         engine.catalog.set_budget(snapshot.budget);
-        engine.catalog_epoch.store(snapshot.epoch, Ordering::SeqCst);
+        engine.catalog_epoch = snapshot.epoch;
         Ok(engine)
     }
 
@@ -2591,18 +2515,14 @@ impl Engine {
     /// Evaluates `q` directly over the original p-document (the baseline
     /// the rewriting avoids; touches no extension).
     pub fn answer_direct(&self, doc: DocId, q: &TreePattern) -> Result<Answer, EngineError> {
-        self.documents
-            .get(doc.0)
-            .ok_or(EngineError::UnknownDocument(doc))?;
-        Ok(self.direct_answer(doc, q, "direct evaluation".to_string()))
+        let pdoc = self.pdoc(doc)?;
+        Ok(self.direct_answer(pdoc, q, "direct evaluation".to_string()))
     }
 
     /// Shared direct-evaluation path (plain `answer_direct` and the
-    /// `Fallback::Direct` branch of `answer_with`). The caller must have
-    /// checked that `doc` exists.
-    fn direct_answer(&self, doc: DocId, q: &TreePattern, description: String) -> Answer {
-        let pdoc = self.document(doc).expect("caller checked doc");
-        let nodes = pxv_peval::eval_tp(&pdoc, q);
+    /// `Fallback::Direct` branch of `answer_with`).
+    fn direct_answer(&self, pdoc: &PDocument, q: &TreePattern, description: String) -> Answer {
+        let nodes = pxv_peval::eval_tp(pdoc, q);
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         self.stats.direct.fetch_add(1, Ordering::Relaxed);
         Answer {
@@ -2625,7 +2545,10 @@ impl Engine {
 /// **never block** on an in-flight mutation, no matter how long the
 /// writer's prepare phase takes; this is what lets the `prxd` server
 /// answer `QUERY`/`BATCH`/`STATS` at full speed through an `UPDATE` or
-/// `RESTORE` storm.
+/// `RESTORE` storm. Every [`Engine`] mutation takes `&mut self`, so a
+/// published epoch is immutable apart from its caches and counters, and
+/// [`EpochEngine::update`] (or [`EpochEngine::replace`]) is the only way
+/// to change what readers see.
 ///
 /// # Epoch publication rules
 ///
@@ -2638,16 +2561,11 @@ impl Engine {
 ///   index*, not the data), runs the mutation on the private clone, and
 ///   publishes it only if the closure returns `Ok` — an error (or a
 ///   panic) discards the clone and leaves the published epoch untouched.
-/// - [`EpochEngine::update_in_place`] is for mutations that are already
-///   safe under concurrent readers by the engine's own design
-///   (`set_cache_budget`, `invalidate`: interior-mutability paths whose
-///   effects are recomputable cache state). It takes the writer mutex for
-///   ordering but mutates the *published* engine directly — no clone, no
-///   epoch bump.
 /// - In-flight readers keep the epoch they started with: a query that
-///   began on epoch `n` completes against epoch `n` even if epoch `n+1`
-///   publishes midway — snapshot isolation, the cross-view consistency
-///   the [`Engine`] docs ask for, without serializing reads.
+///   began on epoch `n` completes against epoch `n` — documents, views
+///   and warm extensions alike — even if epoch `n+1` publishes midway.
+///   This is snapshot isolation without serializing reads: no query can
+///   mix one view's pre-edit extension with another's post-edit one.
 ///
 /// The documented trade-off: statistics incremented by readers of epoch
 /// `n` *during* a writer's prepare window are not reflected in epoch
@@ -2697,18 +2615,6 @@ impl EpochEngine {
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         self.epoch.fetch_add(1, Ordering::SeqCst);
         Ok(out)
-    }
-
-    /// Runs `f` against the published engine under the writer mutex —
-    /// for `&self` mutations the engine already defines as safe under
-    /// concurrent readers (budget changes, invalidation). No new epoch is
-    /// published; the mutex only orders the call against [`update`]
-    /// writers so a concurrent clone cannot resurrect pre-call state.
-    ///
-    /// [`update`]: EpochEngine::update
-    pub fn update_in_place<R>(&self, f: impl FnOnce(&Engine) -> R) -> R {
-        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&self.read())
     }
 
     /// Publishes `engine` wholesale as the next epoch (the `RESTORE`
@@ -2930,7 +2836,7 @@ mod tests {
     /// resurrect the evicted extensions.
     #[test]
     fn post_invalidate_snapshot_does_not_resurrect_extensions() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         e.warm(doc).unwrap();
         let before = e.snapshot();
         assert_eq!(before.extensions.len(), 2);
@@ -3026,7 +2932,7 @@ mod tests {
     /// cold engine built from the post-edit document.
     #[test]
     fn apply_edits_keeps_cache_warm_and_matches_cold_engine() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         e.warm(doc).unwrap();
         let q = p("IT-personnel//person/bonus[laptop]");
         let before = e.answer(doc, &q).unwrap();
@@ -3088,7 +2994,7 @@ mod tests {
     /// leaves the document, the cache, and the counters untouched.
     #[test]
     fn apply_edits_is_transactional() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         e.warm(doc).unwrap();
         let before_text = e.document(doc).unwrap().to_string();
         let epoch = e.catalog_epoch();
@@ -3128,7 +3034,7 @@ mod tests {
     /// fresh ids, and new match candidates appear in maintained answers.
     #[test]
     fn apply_edits_insert_reports_fresh_ids() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         e.warm(doc).unwrap();
         let next = e.document(doc).unwrap().next_fresh_id();
         let report = e
@@ -3157,7 +3063,7 @@ mod tests {
     /// extensions.
     #[test]
     fn snapshot_carries_post_edit_state() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         e.warm(doc).unwrap();
         e.apply_edits(
             doc,
@@ -3187,48 +3093,38 @@ mod tests {
         );
     }
 
-    /// Review regression: two `apply_edits` calls racing on the same
+    /// Review regression: two `apply_edits` writers racing on the same
     /// document (plus concurrent queries) must leave the cache matching
-    /// the final document — the commit publishes document, evicted
-    /// slots, and maintained extensions under one per-document write
-    /// lock, so no interleaving can pin a stale extension.
+    /// the final document — each writer edits its own clone of the
+    /// latest epoch and publishes document, evicted slots, and
+    /// maintained extensions together, so no interleaving can pin a
+    /// stale extension.
     #[test]
     fn concurrent_apply_edits_keep_cache_consistent() {
         let (e, doc) = bonus_engine();
         e.warm(doc).unwrap();
+        let ee = EpochEngine::new(e);
         let q = p("IT-personnel//person/bonus[laptop]");
         std::thread::scope(|scope| {
             // Two writers reweighing different mux branches of the same
             // document (commuting edits: the final document is the same
             // under either serialization), plus query traffic.
-            scope.spawn(|| {
-                e.apply_edits(
-                    doc,
-                    &[Edit::SetProb {
-                        node: NodeId(24),
-                        prob: 0.5,
-                    }],
-                )
-                .unwrap();
-            });
-            scope.spawn(|| {
-                e.apply_edits(
-                    doc,
-                    &[Edit::SetProb {
-                        node: NodeId(8),
-                        prob: 0.5,
-                    }],
-                )
-                .unwrap();
-            });
+            for node in [NodeId(24), NodeId(8)] {
+                let ee = &ee;
+                scope.spawn(move || {
+                    ee.update(|e| e.apply_edits(doc, &[Edit::SetProb { node, prob: 0.5 }]))
+                        .unwrap();
+                });
+            }
             scope.spawn(|| {
                 for _ in 0..20 {
-                    let _ = e.answer(doc, &q);
+                    let _ = ee.read().answer(doc, &q);
                 }
             });
         });
         // The settled cache answers bit-identically to a cold engine
         // built from the final document, without re-materializing.
+        let e = ee.read();
         let mut cold = Engine::new();
         let cd = cold
             .add_document("pper", (*e.document(doc).unwrap()).clone())
@@ -3373,20 +3269,38 @@ mod tests {
         assert_eq!(ee.read().document_count(), 2);
     }
 
+    /// Invalidation and budget changes are writers like any other: each
+    /// publishes exactly one epoch, and a reader holding the previous
+    /// epoch keeps its warm cache (snapshot isolation).
     #[test]
-    fn update_in_place_mutates_published_state_without_an_epoch() {
+    fn invalidate_and_budget_publish_an_epoch_and_spare_old_readers() {
         let (engine, doc) = bonus_engine();
         let ee = EpochEngine::new(engine);
         ee.read().warm(doc).unwrap();
-        let n = ee.update_in_place(|e| e.invalidate(doc).unwrap());
-        assert_eq!(n, 2, "both warm extensions dropped in place");
-        assert_eq!(ee.epoch(), 0, "in-place mutation publishes no epoch");
+        let before = ee.read();
+        let n = ee.update(|e| e.invalidate(doc)).unwrap();
+        assert_eq!(n, 2, "both warm extensions dropped in the new epoch");
+        assert_eq!(ee.epoch(), 1, "INVALIDATE publishes one epoch");
         assert_eq!(ee.read().catalog().cached_extensions(doc), 0);
+        assert_eq!(before.catalog().cached_extensions(doc), 2, "old epoch kept");
+
+        ee.read().warm(doc).unwrap();
+        let before = ee.read();
+        ee.update(|e| {
+            e.set_cache_budget(1);
+            Ok::<_, EngineError>(())
+        })
+        .unwrap();
+        assert_eq!(ee.epoch(), 2, "BUDGET publishes one epoch");
+        assert_eq!(ee.read().catalog().cached_extensions(doc), 0);
+        assert_eq!(ee.read().cache_budget(), 1);
+        assert_eq!(before.catalog().cached_extensions(doc), 2, "old epoch kept");
+        assert_eq!(before.cache_budget(), u64::MAX);
     }
 
     #[test]
     fn traced_answers_form_a_span_tree_and_stay_bit_identical() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         let q = p("IT-personnel//person/bonus");
         let plain = e.answer(doc, &q).unwrap();
         // Re-warm is irrelevant here: the second answer hits the cache,

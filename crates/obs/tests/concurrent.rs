@@ -147,7 +147,9 @@ fn span_rings_merge_under_recorder_antagonist() {
 /// samples the engine's published epoch at scrape time). Every scrape
 /// must parse, and counter samples must be monotone from one scrape to
 /// the next — a scrape can never observe a counter going backwards,
-/// whatever instant it raced the writer at.
+/// whatever instant it raced the writer at. The writer publishes until
+/// told to stop, and the scraper stops only once it has seen a published
+/// epoch, so the two overlap by construction.
 #[test]
 fn metrics_scrape_races_epoch_publisher_monotonically() {
     let registry = std::sync::Arc::new(Registry::new());
@@ -156,24 +158,26 @@ fn metrics_scrape_races_epoch_publisher_monotonically() {
     let stop = AtomicBool::new(false);
     let mut last_queries = 0u64;
     let mut last_epoch_seen = 0u64;
-    std::thread::scope(|scope| {
+    let published = std::thread::scope(|scope| {
         let writer = {
             let queries = queries.clone();
             let epoch = epoch.clone();
             let stop = &stop;
             scope.spawn(move || {
-                for e in 1..=1_000u64 {
+                let mut published = 0u64;
+                while !stop.load(Ordering::Relaxed) {
                     for _ in 0..37 {
                         queries.inc();
                     }
-                    epoch.set(e); // publish
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
+                    published += 1;
+                    epoch.set(published); // publish
                 }
+                published
             })
         };
-        for _ in 0..200 {
+        let mut scrapes = 0;
+        while scrapes < 200 || last_epoch_seen < 1 {
+            scrapes += 1;
             let text = registry.render();
             let mut scraped_queries = None;
             let mut scraped_epoch = None;
@@ -195,10 +199,10 @@ fn metrics_scrape_races_epoch_publisher_monotonically() {
             last_epoch_seen = last_epoch_seen.max(e);
         }
         stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
+        writer.join().unwrap()
     });
     assert!(last_epoch_seen >= 1, "the race actually overlapped");
-    assert_eq!(queries.get(), 37_000, "no increments were lost");
+    assert_eq!(queries.get(), 37 * published, "no increments were lost");
 }
 
 /// Concurrent observers of a slow log with a flapping threshold: the log

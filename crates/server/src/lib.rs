@@ -19,8 +19,9 @@
 //!                    listener + conns               ▼
 //!                    (nonblocking,            EpochEngine
 //!                     rbuf/wbuf,        read:  QUERY/BATCH/WARM/STATS/…
-//!                     pipelining,       write: LOAD/VIEW/UPDATE/RESTORE
-//!                     `ERR busy` cap)          (clone → publish swap)
+//!                     pipelining,       write: LOAD/VIEW/UPDATE/INVALIDATE/
+//!                     `ERR busy` cap)          BUDGET/RESTORE
+//!                                              (clone → publish swap)
 //! ```
 //!
 //! The layers:

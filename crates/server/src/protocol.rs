@@ -88,6 +88,13 @@
 //! document (asserted by the e2e suite). Inserted subtrees get fresh
 //! node ids assigned deterministically; `inserted=` reports the new
 //! root so clients can address the grafted content.
+//!
+//! Every successful mutating verb — `LOAD`, `VIEW`, `UPDATE`,
+//! `INVALIDATE`, `BUDGET`, `ADVISE AUTO`, `RESTORE` — publishes a new
+//! engine epoch, so each advances `STATS engine_epoch` by one. A query
+//! already running keeps the epoch it started on: an `INVALIDATE` or a
+//! shrinking `BUDGET` drops cached extensions only for requests that
+//! begin after it.
 
 use pxv_engine::{AdvisorReport, Answer, Fallback, PlanPreference, QueryOptions, QueryStats};
 use pxv_obs::QueryProfile;

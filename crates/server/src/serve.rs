@@ -18,8 +18,9 @@
 //!   framed request at a time: reads (`QUERY`, `BATCH`, `WARM`, `STATS`,
 //!   `SAVE`, `ADVISE`) resolve against the current published engine
 //!   epoch ([`EpochEngine::read`]) and never block on a writer; writers
-//!   (`LOAD`, `VIEW`, `UPDATE`, `ADVISE AUTO`, `RESTORE`) prepare a new
-//!   engine off to the side and publish it with one atomic swap.
+//!   (`LOAD`, `VIEW`, `UPDATE`, `INVALIDATE`, `BUDGET`, `ADVISE AUTO`,
+//!   `RESTORE`) prepare a new engine off to the side and publish it with
+//!   one atomic swap.
 //!   Completed responses travel back to the reactor over a completion
 //!   queue plus a self-pipe wake.
 //! - **Pipelining**: clients may write many requests without waiting.
@@ -842,10 +843,10 @@ fn find_doc(engine: &Engine, name: &str) -> Result<DocId, ProtocolError> {
 /// (zero otherwise).
 ///
 /// The epoch discipline: reads resolve against [`EpochEngine::read`]
-/// and never block; catalog mutations go through [`EpochEngine::update`]
-/// (prepare on a clone, publish atomically); `INVALIDATE`/`BUDGET` are
-/// in-place because their effects are recomputable cache state the
-/// engine already defines as safe under concurrent readers.
+/// and never block; every mutation (`LOAD`, `VIEW`, `UPDATE`,
+/// `INVALIDATE`, `BUDGET`, `ADVISE AUTO`) goes through
+/// [`EpochEngine::update`] (prepare on a clone, publish atomically), and
+/// `RESTORE` publishes a rebuilt engine through [`EpochEngine::replace`].
 fn execute(
     request: Request,
     parse_nanos: u64,
@@ -915,7 +916,7 @@ fn execute(
             }
         }
         Request::Invalidate { doc } => {
-            let n = shared.engine.update_in_place(|engine| {
+            let n = shared.engine.update(|engine| {
                 let id = find_doc(engine, &doc)?;
                 engine.invalidate(id).map_err(engine_err)
             })?;
@@ -999,13 +1000,12 @@ fn execute(
             .map_err(io_to_protocol)
         }
         Request::Budget { bytes } => {
-            // `set_cache_budget` takes `&self` (eviction runs inside the
-            // catalog) — in place, under the writer mutex so a concurrent
-            // clone-writer cannot resurrect the old budget.
-            let cache_bytes = shared.engine.update_in_place(|engine| {
+            // Evicts in the next epoch; readers still on the current one
+            // keep its cache until they finish.
+            let cache_bytes = shared.engine.update(|engine| {
                 engine.set_cache_budget(bytes);
-                engine.cache_bytes()
-            });
+                Ok::<_, ProtocolError>(engine.cache_bytes())
+            })?;
             if bytes == u64::MAX {
                 writeln!(out, "OK budget=unbounded cache_bytes={cache_bytes}")
             } else {

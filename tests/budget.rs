@@ -6,7 +6,7 @@
 //! evictions race queries, and the bounded plan cache / query log never
 //! grow past their caps.
 
-use prxview::engine::{AdviseOptions, Engine, QueryOptions};
+use prxview::engine::{AdviseOptions, Engine, EpochEngine, QueryOptions};
 use prxview::pxml::generators::personnel;
 use prxview::rewrite::View;
 use prxview::tpq::parse::parse_pattern;
@@ -52,7 +52,7 @@ fn multi_doc_engine(docs: usize) -> (Engine, Vec<prxview::engine::DocId>) {
 #[test]
 fn budgeted_engine_is_bit_identical_to_unbounded() {
     let (unbounded, docs) = multi_doc_engine(4);
-    let (budgeted, _) = multi_doc_engine(4);
+    let (mut budgeted, _) = multi_doc_engine(4);
     for &d in &docs {
         unbounded.warm(d).unwrap();
     }
@@ -100,7 +100,7 @@ fn budgeted_engine_is_bit_identical_to_unbounded() {
 /// returns, and the eviction log records what was dropped and why.
 #[test]
 fn evicted_extension_rematerializes_bit_identically() {
-    let (engine, docs) = multi_doc_engine(2);
+    let (mut engine, docs) = multi_doc_engine(2);
     let q = p("IT-personnel//person/bonus[laptop]");
     let warm = engine.answer(docs[0], &q).unwrap();
     assert_eq!(engine.stats().materializations, 1);
@@ -132,7 +132,7 @@ fn evicted_extension_rematerializes_bit_identically() {
 /// counted as an admission reject, with answers still correct.
 #[test]
 fn tiny_budget_rejects_admissions_but_answers() {
-    let (engine, docs) = multi_doc_engine(1);
+    let (mut engine, docs) = multi_doc_engine(1);
     engine.set_cache_budget(1);
     let q = p("IT-personnel//person/bonus[laptop]");
     let first = engine.answer(docs[0], &q).unwrap();
@@ -145,11 +145,13 @@ fn tiny_budget_rejects_admissions_but_answers() {
     assert!(engine.eviction_log().iter().any(|r| r.admission_reject));
 }
 
-/// Single-flight must hold while evictions race queries: threads hammer
-/// the same queries while another thread flips the budget between tight
-/// and unbounded. Every answer stays bit-identical to the reference and
-/// the engine never deadlocks or double-charges the gauge (checked at
-/// the quiesced end state).
+/// Single-flight must hold while evictions race queries: reader threads
+/// hammer the same queries on the published epoch while another thread
+/// publishes budget flips between tight and unbounded. Readers sharing
+/// an epoch still evict each other through admission inside its one
+/// catalog. Every answer stays bit-identical to the reference and the
+/// engine never deadlocks or double-charges the gauge (checked at the
+/// quiesced end state).
 #[test]
 fn single_flight_holds_under_eviction_races() {
     let (engine, docs) = multi_doc_engine(2);
@@ -163,32 +165,40 @@ fn single_flight_holds_under_eviction_races() {
         .collect();
     let full = engine.cache_bytes();
     assert!(full > 0);
+    let ee = EpochEngine::new(engine);
+    let set_budget = |bytes: u64| {
+        ee.update(|e| {
+            e.set_cache_budget(bytes);
+            Ok::<_, ()>(())
+        })
+        .unwrap()
+    };
 
     std::thread::scope(|scope| {
         for t in 0..4usize {
-            let engine = &engine;
+            let ee = &ee;
             let reference = &reference;
             scope.spawn(move || {
                 for r in 0..30 {
                     let (d, q, want) = &reference[(t + r) % reference.len()];
-                    let got = engine.answer(*d, q).unwrap();
+                    let got = ee.read().answer(*d, q).unwrap();
                     assert_eq!(&got.nodes, want, "thread {t} round {r}: {q}");
                 }
             });
         }
         // The antagonist: squeeze and release the budget concurrently.
-        let engine = &engine;
-        scope.spawn(move || {
+        scope.spawn(|| {
             for r in 0..40 {
-                engine.set_cache_budget(if r % 2 == 0 { full / 8 } else { u64::MAX });
+                set_budget(if r % 2 == 0 { full / 8 } else { u64::MAX });
                 std::thread::yield_now();
             }
-            engine.set_cache_budget(u64::MAX);
+            set_budget(u64::MAX);
         });
     });
 
     // Quiesced: the gauge equals the sum of what is actually resident —
     // re-warming from here must only add bytes for what is missing.
+    let engine = ee.read();
     let resident = engine.cache_bytes();
     for &d in &docs {
         engine.warm(d).unwrap();
@@ -209,7 +219,7 @@ fn single_flight_holds_under_eviction_races() {
 #[test]
 fn eviction_log_is_bounded_under_sustained_churn() {
     use prxview::engine::EVICTION_LOG_CAPACITY;
-    let (engine, docs) = multi_doc_engine(1);
+    let (mut engine, docs) = multi_doc_engine(1);
     engine.set_cache_budget(1);
     let q = p("IT-personnel//person/bonus[laptop]");
     let rounds = EVICTION_LOG_CAPACITY + 50;
@@ -311,7 +321,7 @@ fn query_log_is_bounded_and_keeps_heavy_hitters() {
 /// the saved engine kept.
 #[test]
 fn snapshot_round_trips_budget_and_scores() {
-    let (engine, docs) = multi_doc_engine(2);
+    let (mut engine, docs) = multi_doc_engine(2);
     for &d in &docs {
         engine.warm(d).unwrap();
     }

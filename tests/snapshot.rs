@@ -145,7 +145,7 @@ fn restored_engine_stays_live() {
         let doc = engine.find_document(name).unwrap();
         engine.warm(doc).unwrap();
     }
-    let restored = Engine::from_snapshot(engine.snapshot()).unwrap();
+    let mut restored = Engine::from_snapshot(engine.snapshot()).unwrap();
     let doc = restored.find_document("d0").unwrap();
     let evicted = restored.invalidate(doc).unwrap();
     assert_eq!(

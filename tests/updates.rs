@@ -169,7 +169,7 @@ fn random_edit(engine: &Engine, doc: DocId, rng: &mut StdRng) -> Option<Edit> {
 /// engine parsed from the post-edit document text.
 #[test]
 fn random_edit_sequences_match_fresh_engines_bit_identically() {
-    let (engine, workload) = build_workload(20260727);
+    let (mut engine, workload) = build_workload(20260727);
     let opts = QueryOptions::new().fallback(Fallback::Direct);
     for name in ["hr", "d0", "d1"] {
         let doc = engine.find_document(name).unwrap();
