@@ -253,11 +253,25 @@ fn ordinary_message(pdoc: &PDocument, conj: &Conjunction<'_>, v: NodeId, label: 
 /// Probability that **all** patterns match the random document (with their
 /// roots at the document root).
 pub fn boolean_conjunction_probability(pdoc: &PDocument, patterns: &[TreePattern]) -> f64 {
+    boolean_conjunction_probability_at(pdoc, pdoc.root(), patterns)
+}
+
+/// [`boolean_conjunction_probability`] over the p-subdocument `P̂_root`
+/// (`root` must be ordinary), evaluated in place: the DP runs from `root`
+/// instead of copying the subtree out first. `PDocument::subtree` keeps
+/// child order and edge probabilities, so this performs the same float
+/// operations in the same order as evaluating the copy — the results are
+/// bit-identical.
+pub fn boolean_conjunction_probability_at(
+    pdoc: &PDocument,
+    root: NodeId,
+    patterns: &[TreePattern],
+) -> f64 {
     if patterns.is_empty() {
         return 1.0;
     }
     let conj = Conjunction::new(patterns);
-    let root_dist = message(pdoc, &conj, pdoc.root());
+    let root_dist = message(pdoc, &conj, root);
     let mut need: State = 0;
     for (i, p) in patterns.iter().enumerate() {
         need |= conj.a_bit(conj.gid(i, p.root()));
@@ -271,7 +285,13 @@ pub fn boolean_conjunction_probability(pdoc: &PDocument, patterns: &[TreePattern
 
 /// Probability that a single Boolean pattern matches.
 pub fn boolean_probability(pdoc: &PDocument, q: &TreePattern) -> f64 {
-    boolean_conjunction_probability(pdoc, std::slice::from_ref(q))
+    boolean_probability_at(pdoc, pdoc.root(), q)
+}
+
+/// [`boolean_probability`] over the p-subdocument `P̂_root`, in place (see
+/// [`boolean_conjunction_probability_at`]).
+pub fn boolean_probability_at(pdoc: &PDocument, root: NodeId, q: &TreePattern) -> f64 {
+    boolean_conjunction_probability_at(pdoc, root, std::slice::from_ref(q))
 }
 
 /// Fresh pin label for a target node.
@@ -299,16 +319,26 @@ pub fn pin_pattern(q: &TreePattern, label: Label) -> TreePattern {
 /// TP matching is monotone, so any node selected in some world is selected
 /// here — used to find answer candidates.
 pub fn max_world(pdoc: &PDocument) -> Document {
-    let root_label = pdoc.label(pdoc.root()).expect("root ordinary");
-    let mut d = Document::with_root_id(root_label, pdoc.root());
-    for n in pdoc.preorder() {
-        if n == pdoc.root() {
-            continue;
-        }
-        if let Some(l) = pdoc.label(n) {
-            let parent = pdoc.ordinary_ancestor(n).expect("has ordinary ancestor");
-            d.add_child_with_id(parent, l, n);
-        }
+    max_world_at(pdoc, pdoc.root())
+}
+
+/// The maximal world of the p-subdocument `P̂_root` (`root` must be
+/// ordinary), built in place with the original node ids and the same child
+/// order as `max_world(&pdoc.subtree(root))`.
+pub fn max_world_at(pdoc: &PDocument, root: NodeId) -> Document {
+    let root_label = pdoc.label(root).expect("root ordinary");
+    let mut d = Document::with_root_id(root_label, root);
+    // Pre-order walk carrying each node's closest ordinary ancestor.
+    let mut stack: Vec<(NodeId, NodeId)> = pdoc.children(root).iter().map(|&c| (c, root)).collect();
+    while let Some((n, parent)) = stack.pop() {
+        let below = match pdoc.label(n) {
+            Some(l) => {
+                d.add_child_with_id(parent, l, n);
+                n
+            }
+            None => parent,
+        };
+        stack.extend(pdoc.children(n).iter().map(|&c| (c, below)));
     }
     d
 }
@@ -386,6 +416,31 @@ mod tests {
         }
         assert_eq!(d.len(), 4);
         assert_eq!(d.parent(NodeId(5)), Some(NodeId(0)));
+    }
+
+    #[test]
+    fn rooted_evaluation_is_bit_identical_to_the_subtree_copy() {
+        let p = parse_pdocument(
+            "r#0[a#1[mux#2(0.4: b#3[ind#4(0.5: c#5, 0.3: d#6)], 0.35: b#7[c#8])], a#9[b#10]]",
+        )
+        .unwrap();
+        let sub = p.subtree(NodeId(1));
+        let pats = [q("a/b[c]"), q("a//d"), q("a/b")];
+        for pat in &pats {
+            assert_eq!(
+                boolean_probability_at(&p, NodeId(1), pat).to_bits(),
+                boolean_probability(&sub, pat).to_bits(),
+                "{pat}"
+            );
+        }
+        assert_eq!(
+            boolean_conjunction_probability_at(&p, NodeId(1), &pats).to_bits(),
+            boolean_conjunction_probability(&sub, &pats).to_bits()
+        );
+        let (at, copied) = (max_world_at(&p, NodeId(1)), max_world(&sub));
+        assert_eq!(at.to_string(), copied.to_string());
+        assert_eq!(at.len(), 6);
+        assert_eq!(at.parent(NodeId(8)), Some(NodeId(7)));
     }
 
     #[test]

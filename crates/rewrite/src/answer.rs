@@ -167,19 +167,7 @@ pub fn plan_checked(
 fn part_candidates(part: &TpiPart, ext: &ProbExtension) -> BTreeSet<NodeId> {
     match &part.compensation {
         None => ext.results.iter().map(|r| r.orig).collect(),
-        Some(compensation) => {
-            let mut out = BTreeSet::new();
-            for i in 0..ext.results.len() {
-                let sub = ext.result_subtree(i);
-                let max = pxv_peval::dp::max_world(&sub);
-                for ext_node in pxv_tpq::embed::eval(compensation, &max) {
-                    if let Some(orig) = ext.original_of(ext_node) {
-                        out.insert(orig);
-                    }
-                }
-            }
-            out
-        }
+        Some(compensation) => ext.candidates(compensation),
     }
 }
 

@@ -161,20 +161,13 @@ pub fn explain_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> Explanati
     if anc.is_empty() {
         return Explanation::NotAnAnswer { node: n };
     }
-    let v = &ext.view.pattern;
-    let v_out_preds = v.suffix(v.mb_len());
     if anc.len() == 1 {
         let i = anc[0];
-        let sub = ext.result_subtree(i);
         let beta = ext.results[i].prob;
-        let mut comp_pinned = rw.compensation.clone();
-        comp_pinned.add_child(
-            rw.compensation.output(),
-            pxv_tpq::Axis::Child,
-            crate::view::id_label(n),
-        );
-        let numerator = pxv_peval::dp::boolean_probability(&sub, &comp_pinned);
-        let denominator = pxv_peval::dp::boolean_probability(&sub, &v_out_preds);
+        let comp_pinned = crate::fr_tp::mark_output(&rw.compensation, n);
+        let numerator =
+            pxv_peval::dp::boolean_probability_at(&ext.pdoc, ext.results[i].ext_root, &comp_pinned);
+        let denominator = ext.denominators()[i];
         let result = if denominator > 0.0 {
             beta * numerator / denominator
         } else {
@@ -271,6 +264,14 @@ mod tests {
         assert!(text.contains("v2BON"), "{text}");
         let ex0 = explain_tp(&rs[0], &ext, NodeId(4040));
         assert_eq!(ex0.value(), 0.0);
+        // The explanation recomputes exactly what the evaluator does: same
+        // in-place numerator, same memoized denominator, same bits.
+        assert!(rs[0].restricted);
+        for (n, _) in crate::fr_tp::answer_tp(&rs[0], &ext) {
+            let fr = crate::fr_tp::fr_tp(&rs[0], &ext, n);
+            let ex = explain_tp(&rs[0], &ext, n);
+            assert_eq!(ex.value().to_bits(), fr.to_bits(), "at {n}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use pxv_tpq::pattern::{Axis, TreePattern};
 
 /// Adds the `Id(n)` marker as a `/`-predicate on the output of `q`
 /// (pins the output to the occurrence of original node `n`).
-fn mark_output(q: &TreePattern, n: NodeId) -> TreePattern {
+pub(crate) fn mark_output(q: &TreePattern, n: NodeId) -> TreePattern {
     let mut m = q.clone();
     m.add_child(q.output(), Axis::Child, id_label(n));
     m
@@ -51,16 +51,17 @@ fn descend_plan(root_label: pxv_pxml::Label, sub: &TreePattern) -> TreePattern {
 
 /// `fr(n)` for an accepted TP-rewriting: `Pr(n ∈ q(P))` computed from the
 /// view extension alone.
+///
+/// Every DP runs in place on `ext.pdoc` at a result root, and the
+/// view-only denominator comes from [`ProbExtension::denominators`]: no
+/// result subtree is copied.
 pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
-    let v = &ext.view.pattern;
     // Ancestors of n selected by v = results whose subtree contains n,
     // shallowest first.
     let anc = ext.results_containing(n);
     if anc.is_empty() {
         return 0.0;
     }
-    // v_(k): the view's output node with its predicates (lm[Qm]).
-    let v_out_preds = v.suffix(v.mb_len());
     // Compensation pinned at n.
     let comp_pinned = mark_output(&rw.compensation, n);
 
@@ -68,19 +69,18 @@ pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
         // Theorem 1 (also sound & complete whenever the selected ancestor
         // is unique — footnote 3).
         let i = anc[0];
-        let sub = ext.result_subtree(i);
-        let beta = ext.results[i].prob;
-        let num = pxv_peval::dp::boolean_probability(&sub, &comp_pinned);
-        let den = pxv_peval::dp::boolean_probability(&sub, &v_out_preds);
+        let r = &ext.results[i];
+        let num = pxv_peval::dp::boolean_probability_at(&ext.pdoc, r.ext_root, &comp_pinned);
+        let den = ext.denominators()[i];
         if den <= 0.0 {
             return 0.0;
         }
-        return beta * num / den;
+        return r.prob * num / den;
     }
 
     // General case: inclusion-exclusion over the events
     //   e_i = [n_i ∈ v′(P) ∧ n ∈ q_(k)(P^{n_i})].
-    let t = v.last_token();
+    let t = ext.view.pattern.last_token();
     let m = t.mb_len();
     let a = anc.len();
     let mut total = 0.0;
@@ -90,7 +90,7 @@ pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
             .map(|b| anc[b])
             .collect();
         let sign = if subset.len() % 2 == 1 { 1.0 } else { -1.0 };
-        total += sign * joint_event_probability(ext, &subset, &t, m, &v_out_preds, &comp_pinned);
+        total += sign * joint_event_probability(ext, &subset, &t, m, &comp_pinned);
     }
     total.clamp(0.0, 1.0)
 }
@@ -102,17 +102,16 @@ fn joint_event_probability(
     subset: &[usize],
     token: &TreePattern,
     m: usize,
-    v_out_preds: &TreePattern,
     comp_pinned: &TreePattern,
 ) -> f64 {
     let top = subset[0];
-    let sub = ext.result_subtree(top);
+    let root = ext.results[top].ext_root;
     let beta = ext.results[top].prob;
-    let den = pxv_peval::dp::boolean_probability(&sub, v_out_preds);
+    let den = ext.denominators()[top];
     if den <= 0.0 {
         return 0.0;
     }
-    let root_label = sub.label(sub.root()).expect("result roots are ordinary");
+    let root_label = ext.pdoc.label(root).expect("result roots are ordinary");
     // Conjunction: compensation from the top ancestor, plus an α member
     // per deeper ancestor re-testing the last token (or its visible part)
     // at that ancestor and compensating down to n.
@@ -141,7 +140,7 @@ fn joint_event_probability(
         };
         patterns.push(alpha_j);
     }
-    let joint = pxv_peval::dp::boolean_conjunction_probability(&sub, &patterns);
+    let joint = pxv_peval::dp::boolean_conjunction_probability_at(&ext.pdoc, root, &patterns);
     beta / den * joint
 }
 
@@ -154,37 +153,21 @@ pub fn joint_event_probability_public(
     n: NodeId,
     subset: &[usize],
 ) -> f64 {
-    let v = &ext.view.pattern;
-    let t = v.last_token();
+    let t = ext.view.pattern.last_token();
     let m = t.mb_len();
-    let v_out_preds = v.suffix(v.mb_len());
     let comp_pinned = mark_output(&rw.compensation, n);
-    joint_event_probability(ext, subset, &t, m, &v_out_preds, &comp_pinned)
+    joint_event_probability(ext, subset, &t, m, &comp_pinned)
 }
 
 /// Evaluates the whole plan: every original node retrievable from the
 /// extension with its probability (sorted by node id). This is the
 /// evaluation of `(qr, fr)` touching only `D^P̂_V = {P̂_v}`.
 pub fn answer_tp(rw: &TpRewriting, ext: &ProbExtension) -> Vec<(NodeId, f64)> {
-    use std::collections::BTreeSet;
-    let mut candidates: BTreeSet<NodeId> = BTreeSet::new();
-    for i in 0..ext.results.len() {
-        let sub = ext.result_subtree(i);
-        let max = pxv_peval::dp::max_world(&sub);
-        for ext_node in pxv_tpq::embed::eval(&rw.compensation, &max) {
-            if let Some(orig) = ext.original_of(ext_node) {
-                candidates.insert(orig);
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(candidates.len());
-    for n in candidates {
-        let p = fr_tp(rw, ext, n);
-        if p > 0.0 {
-            out.push((n, p));
-        }
-    }
-    out
+    ext.candidates(&rw.compensation)
+        .into_iter()
+        .map(|n| (n, fr_tp(rw, ext, n)))
+        .filter(|&(_, p)| p > 0.0)
+        .collect()
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 
 use pxv_pxml::{Document, Edit, EditEffect, Label, NodeId, PDocument, PKind};
 use pxv_tpq::pattern::{Axis, TreePattern};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// A named view.
 #[derive(Clone, Debug)]
@@ -139,6 +140,11 @@ pub struct ProbExtension {
     /// hit, which is what keeps warm query latency linear in the answer's
     /// neighborhood rather than quadratic in the extension.
     by_orig: HashMap<NodeId, Vec<(usize, NodeId)>>,
+    /// Per-result `Pr(n_i ∈ v_(k)(P̂^{n_i}_v))`, filled on first use by
+    /// [`ProbExtension::denominators`]. Never serialized; every
+    /// constructor starts it empty, so an edited or restored extension
+    /// cannot inherit stale values.
+    denominators: OnceLock<Vec<f64>>,
 }
 
 impl ProbExtension {
@@ -287,6 +293,7 @@ impl ProbExtension {
                 results,
                 orig_of: self.orig_of.clone(),
                 by_orig: self.by_orig.clone(),
+                denominators: OnceLock::new(),
             },
             DeltaOutcome::Incremental { reused, recomputed },
         )
@@ -319,6 +326,7 @@ impl ProbExtension {
             results,
             orig_of,
             by_orig,
+            denominators: OnceLock::new(),
         }
     }
 
@@ -366,15 +374,17 @@ impl ProbExtension {
     }
 
     /// Deterministic estimate of this extension's heap footprint in
-    /// bytes: the extension p-document, the result list, and both
-    /// original-id indexes. Like `PDocument::heap_bytes` it counts
-    /// logical lengths rather than allocator capacities, so a restored
-    /// (bit-identical) extension reports exactly the bytes the original
-    /// did — the figure a byte-budgeted cache charges the slot for.
+    /// bytes: the extension p-document, the result list, the denominator
+    /// memo, and both original-id indexes. Like `PDocument::heap_bytes` it
+    /// counts logical lengths rather than allocator capacities, so a
+    /// restored (bit-identical) extension reports exactly the bytes the
+    /// original did — the figure a byte-budgeted cache charges the slot
+    /// for. The memo is charged in full whether or not a query has filled
+    /// it yet, so answering never changes the figure.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = size_of::<ProbExtension>() + self.pdoc.heap_bytes();
-        bytes += self.results.len() * size_of::<ViewResult>();
+        bytes += self.results.len() * (size_of::<ViewResult>() + size_of::<f64>());
         bytes += self.orig_of.len() * (2 * size_of::<NodeId>() + 1);
         for occurrences in self.by_orig.values() {
             bytes += size_of::<NodeId>() + 1 + occurrences.len() * size_of::<(usize, NodeId)>();
@@ -384,9 +394,49 @@ impl ProbExtension {
     }
 
     /// The result subtree `P̂^{n_i}_v` as a standalone p-document
-    /// (markers included).
+    /// (markers included). This *copies* the subtree; query evaluation
+    /// never calls it — the `fr` functions run their DPs in place at
+    /// `results[i].ext_root` on [`ProbExtension::pdoc`].
     pub fn result_subtree(&self, i: usize) -> PDocument {
         self.pdoc.subtree(self.results[i].ext_root)
+    }
+
+    /// Per-result `Pr(n_i ∈ v_(k)(P̂^{n_i}_v))` — the probability that the
+    /// view's output node with its predicates (`lm[Qm]`) matches at the
+    /// result root, inside the result subtree. It depends on the view and
+    /// the result alone, never on a query, so it is computed once per
+    /// extension on first use and shared by every later `fr` call (it is
+    /// the denominator of Theorem 1's division formula). Nothing edits an
+    /// extension in place — edits build a new one through
+    /// [`ProbExtension::apply_delta`] — so the memo cannot go stale.
+    pub fn denominators(&self) -> &[f64] {
+        self.denominators.get_or_init(|| {
+            let v = &self.view.pattern;
+            let v_out_preds = v.suffix(v.mb_len());
+            self.results
+                .iter()
+                .map(|r| {
+                    pxv_peval::dp::boolean_probability_at(&self.pdoc, r.ext_root, &v_out_preds)
+                })
+                .collect()
+        })
+    }
+
+    /// Original nodes a compensation selects inside some result subtree
+    /// of the maximal world — every node `fr` can give a positive
+    /// probability (TP matching is monotone). Runs max-world and embedding
+    /// in place at each result root; no subtree is copied.
+    pub fn candidates(&self, compensation: &TreePattern) -> BTreeSet<NodeId> {
+        let mut out = BTreeSet::new();
+        for r in &self.results {
+            let max = pxv_peval::dp::max_world_at(&self.pdoc, r.ext_root);
+            for ext_node in pxv_tpq::embed::eval(compensation, &max) {
+                if let Some(orig) = self.original_of(ext_node) {
+                    out.insert(orig);
+                }
+            }
+        }
+        out
     }
 
     /// The `extension node → original node` pairs backing
@@ -825,6 +875,43 @@ mod tests {
         m1.sort();
         m2.sort();
         assert_eq!(m1, m2, "{what}: marker maps");
+        let d1: Vec<u64> = a.denominators().iter().map(|d| d.to_bits()).collect();
+        let d2: Vec<u64> = b.denominators().iter().map(|d| d.to_bits()).collect();
+        assert_eq!(d1, d2, "{what}: bit-identical denominators");
+    }
+
+    /// The denominator memo is charged up front: filling it by answering
+    /// a query leaves `heap_bytes` unchanged, and the figure equals that
+    /// of the same extension rebuilt from its columns (a snapshot
+    /// restore, which starts with an empty memo).
+    #[test]
+    fn denominator_memo_keeps_heap_bytes_deterministic() {
+        let pper = fig2_pper();
+        let view = v("v2BON", "IT-personnel//person/bonus");
+        let ext = ProbExtension::materialize(&pper, &view);
+        let before = ext.heap_bytes();
+        let q = parse_pattern("IT-personnel//person/bonus[laptop]").unwrap();
+        let rw = crate::tp_rewrite::tp_rewrite(&q, std::slice::from_ref(&view))
+            .into_iter()
+            .next()
+            .expect("qBON has a TP plan over v2BON");
+        assert!(!crate::fr_tp::answer_tp(&rw, &ext).is_empty());
+        assert_eq!(ext.denominators().len(), ext.results.len());
+        assert_eq!(ext.heap_bytes(), before, "filling the memo is free");
+        let roots: Vec<NodeId> = ext.results.iter().map(|r| r.ext_root).collect();
+        let origs: Vec<NodeId> = ext.results.iter().map(|r| r.orig).collect();
+        let probs: Vec<f64> = ext.results.iter().map(|r| r.prob).collect();
+        let rebuilt = ProbExtension::from_columns(
+            view.clone(),
+            ext.pdoc.clone(),
+            &roots,
+            &origs,
+            &probs,
+            ext.orig_entries().collect(),
+        )
+        .expect("valid columns");
+        assert_eq!(rebuilt.heap_bytes(), before);
+        assert_ext_identical(&rebuilt, &ext, "from_columns");
     }
 
     /// Every edit kind, applied to the personnel scenario: the

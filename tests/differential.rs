@@ -215,3 +215,204 @@ fn batch_answers_match_sequential_and_possible_worlds() {
         );
     }
 }
+
+/// FNV-1a 64 over `(node id, probability bits)` of an answer list.
+fn answer_hash(answers: &[(NodeId, f64)]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &(n, p) in answers {
+        for b in u64::from(n.0)
+            .to_le_bytes()
+            .into_iter()
+            .chain(p.to_bits().to_le_bytes())
+        {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The single-view TP plan of `q` over `view`, evaluated by `answer_tp`.
+fn tp_answers(pdoc: &PDocument, view: &View, q: &str) -> Vec<(NodeId, f64)> {
+    let q = prxview::tpq::parse::parse_pattern(q).unwrap();
+    let rw = prxview::rewrite::tp_rewrite(&q, std::slice::from_ref(view))
+        .into_iter()
+        .next()
+        .unwrap_or_else(|| panic!("{q} has a TP plan over {}", view.name));
+    let ext = prxview::rewrite::ProbExtension::materialize(pdoc, view);
+    prxview::rewrite::fr_tp::answer_tp(&rw, &ext)
+}
+
+/// A small extracted product catalog (brand alternatives, listings with
+/// uncertain ratings and possibly spurious offers).
+fn catalog(n_products: usize, seed: u64) -> PDocument {
+    use prxview::pxml::{Label, PKind};
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pdoc = PDocument::new(Label::new("catalog"));
+    let brands = ["acme", "globex", "initech"];
+    for i in 0..n_products {
+        let prod = pdoc.add_ordinary(pdoc.root(), Label::new("product"), 1.0);
+        let brand = pdoc.add_ordinary(prod, Label::new("brand"), 1.0);
+        let mux = pdoc.add_dist(brand, PKind::Mux, 1.0);
+        let conf = rng.gen_range(0.55..0.95);
+        pdoc.add_ordinary(mux, Label::new(brands[i % 3]), conf);
+        pdoc.add_ordinary(mux, Label::new(brands[(i + 1) % 3]), 1.0 - conf);
+        for _ in 0..rng.gen_range(1..=2usize) {
+            let listing = pdoc.add_ordinary(prod, Label::new("listing"), 1.0);
+            let ind = pdoc.add_dist(listing, PKind::Ind, 1.0);
+            let rating = pdoc.add_ordinary(ind, Label::new("rating"), rng.gen_range(0.5..0.99));
+            let stars = if rng.gen_bool(0.5) { "good" } else { "poor" };
+            pdoc.add_ordinary(rating, Label::new(stars), 1.0);
+            let omux = pdoc.add_dist(listing, PKind::Mux, 1.0);
+            let offer = pdoc.add_ordinary(omux, Label::new("offer"), rng.gen_range(0.6..1.0));
+            pdoc.add_ordinary(offer, Label::new("price"), 1.0);
+        }
+    }
+    pdoc
+}
+
+/// Golden answers: view-based evaluation must stay *bit-identical* across
+/// refactors of the evaluation path, not merely close. Each case hashes
+/// `(node id, probability bits)` of its answer list; the pinned values
+/// were computed by the copy-per-result evaluator (every result subtree
+/// copied into a standalone p-document before its DPs ran). Cases cover
+/// Theorem 1's unique-ancestor division, both inclusion–exclusion `α`
+/// shapes, and two TP∩ plans (one with compensated parts).
+#[test]
+fn view_answers_are_bit_identical_to_golden_hashes() {
+    use prxview::pxml::generators::personnel;
+    use prxview::pxml::text::parse_pdocument;
+    use prxview::rewrite::{answer::answer_tpi, plan_checked, Plan, DEFAULT_INTERLEAVING_LIMIT};
+    use prxview::tpq::parse::parse_pattern;
+
+    let mut got: Vec<(String, u64)> = Vec::new();
+    let v1 = View::new(
+        "v1BON",
+        parse_pattern("IT-personnel//person[name/Rick]/bonus").unwrap(),
+    );
+    let v2 = View::new(
+        "v2BON",
+        parse_pattern("IT-personnel//person/bonus").unwrap(),
+    );
+    for seed in 1..=3 {
+        let (pdoc, _) = personnel(60, 3, seed);
+        for q in [
+            "IT-personnel//person/bonus[laptop]",
+            "IT-personnel//person/bonus[pda]",
+            "IT-personnel//person/bonus[tablet]",
+            "IT-personnel//person/bonus",
+        ] {
+            got.push((
+                format!("s{seed} {q}"),
+                answer_hash(&tp_answers(&pdoc, &v2, q)),
+            ));
+        }
+        let q = "IT-personnel//person[name/Rick]/bonus[laptop]";
+        got.push((
+            format!("s{seed} {q}"),
+            answer_hash(&tp_answers(&pdoc, &v1, q)),
+        ));
+    }
+
+    // Several selected ancestors, full-token α (s > m).
+    let nested =
+        parse_pdocument("a#0[b#1[ind#2(0.7: b#3[mux#4(0.6: c#5)]), mux#6(0.3: c#7)]]").unwrap();
+    let view = View::new("v", parse_pattern("a//b").unwrap());
+    got.push((
+        "nested a//b//c".into(),
+        answer_hash(&tp_answers(&nested, &view, "a//b//c")),
+    ));
+    // Several selected ancestors, partial-token α (s ≤ m).
+    let chain = parse_pdocument(
+        "a#0[b#1[c#2[b#3[c#4[ind#5(0.5: e#6), mux#7(0.4: c#8[b#9[c#10[ind#11(0.3: e#12), d#13]]])]]]]]",
+    )
+    .unwrap();
+    let view = View::new("v", parse_pattern("a//b/c/b/c[e]").unwrap());
+    got.push((
+        "chain a//b/c/b/c[e]//d".into(),
+        answer_hash(&tp_answers(&chain, &view, "a//b/c/b/c[e]//d")),
+    ));
+
+    // The catalog TP∩ query: two one-aspect views plus the appearance view.
+    let pdoc = catalog(24, 7);
+    let views = vec![
+        View::new(
+            "acme",
+            parse_pattern("catalog/product[brand/acme]/listing/offer").unwrap(),
+        ),
+        View::new(
+            "liked",
+            parse_pattern("catalog/product/listing[rating/good]/offer").unwrap(),
+        ),
+        View::new(
+            "all",
+            parse_pattern("catalog/product/listing/offer").unwrap(),
+        ),
+    ];
+    let q = parse_pattern("catalog/product[brand/acme]/listing[rating/good]/offer").unwrap();
+    let Ok(Plan::Tpi(rw)) = plan_checked(
+        &q,
+        &views,
+        DEFAULT_INTERLEAVING_LIMIT,
+        PlanPreference::TpiOnly,
+    ) else {
+        panic!("the catalog query has a TP∩ plan");
+    };
+    let exts: Vec<_> = views
+        .iter()
+        .map(|v| prxview::rewrite::ProbExtension::materialize(&pdoc, v))
+        .collect();
+    got.push(("catalog TP∩".into(), answer_hash(&answer_tpi(&rw, &exts))));
+
+    // qRBON forced onto a TP∩ plan whose compensated parts run `fr` over
+    // v1BON and a laptop view.
+    let (pdoc, _) = personnel(60, 3, 1);
+    let views = vec![
+        v1,
+        v2,
+        View::new(
+            "vLAP",
+            parse_pattern("IT-personnel//person/bonus[laptop]").unwrap(),
+        ),
+    ];
+    let q = parse_pattern("IT-personnel//person[name/Rick]/bonus[laptop]").unwrap();
+    let Ok(Plan::Tpi(rw)) = plan_checked(
+        &q,
+        &views,
+        DEFAULT_INTERLEAVING_LIMIT,
+        PlanPreference::TpiOnly,
+    ) else {
+        panic!("qRBON has a TP∩ plan");
+    };
+    let exts: Vec<_> = views
+        .iter()
+        .map(|v| prxview::rewrite::ProbExtension::materialize(&pdoc, v))
+        .collect();
+    got.push(("qRBON TP∩".into(), answer_hash(&answer_tpi(&rw, &exts))));
+
+    let want: [u64; 19] = [
+        0xf6b4_b5ce_6a74_356c,
+        0xbaa3_f135_6286_56ec,
+        0x6e50_22a5_848c_04be,
+        0x0562_5680_c6aa_c95a,
+        0x2322_5270_9549_9045,
+        0xab12_d57d_9401_1015,
+        0x15e4_8d33_98a5_d305,
+        0xd912_3889_533e_1a78,
+        0x516d_b976_068c_2d39,
+        0x125b_0e18_2357_5523,
+        0x8f05_9147_b5cc_b94e,
+        0x08d6_33f3_e21e_4102,
+        0xbaa4_2775_078d_8030,
+        0x8c8c_6da2_b220_80e9,
+        0x1281_8401_77ed_2949,
+        0xce74_fdec_2edc_25b1,
+        0x8286_3f3a_09aa_b5e2,
+        0xbc21_7a48_1b65_6b6e,
+        0x2322_5270_9549_9045,
+    ];
+    assert_eq!(got.len(), want.len());
+    for ((name, g), w) in got.iter().zip(want) {
+        assert_eq!(*g, w, "{name}: answer hash {g:#018x}, pinned {w:#018x}");
+    }
+}
