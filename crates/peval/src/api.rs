@@ -12,8 +12,7 @@ use pxv_tpq::TreePattern;
 /// candidate's probability is computed by a pinned run of the DP.
 pub fn eval_tp(pdoc: &PDocument, q: &TreePattern) -> Vec<(NodeId, f64)> {
     let mut span = pxv_obs::Span::enter("eval_tp");
-    let max = dp::max_world(pdoc);
-    let candidates = pxv_tpq::embed::eval(q, &max);
+    let candidates = candidates(pdoc, q);
     span.record("candidates", candidates.len() as u64);
     let mut out = Vec::with_capacity(candidates.len());
     for n in candidates {
@@ -23,6 +22,18 @@ pub fn eval_tp(pdoc: &PDocument, q: &TreePattern) -> Vec<(NodeId, f64)> {
         }
     }
     span.record("answers", out.len() as u64);
+    out
+}
+
+/// The nodes `q` selects in the maximal world of `pdoc`, sorted: every
+/// node with a positive answer probability, and possibly more. Embeds on
+/// the ordinary skeleton in place; no world document is built.
+pub fn candidates(pdoc: &PDocument, q: &TreePattern) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    pxv_tpq::embed::Embedder::new(q).eval(&pxv_tpq::embed::Skeleton::of_pdocument(pdoc), 0, |n| {
+        out.push(n)
+    });
+    out.sort_unstable();
     out
 }
 

@@ -317,17 +317,12 @@ pub fn pin_pattern(q: &TreePattern, label: Label) -> TreePattern {
 
 /// The *maximal world*: the document keeping every ordinary node.
 /// TP matching is monotone, so any node selected in some world is selected
-/// here — used to find answer candidates.
+/// here. Candidate search embeds on the same tree laid out in columns
+/// (`pxv_tpq::embed::Skeleton::of_pdocument`) without building a
+/// `Document`; this walk stays as its independent reference.
 pub fn max_world(pdoc: &PDocument) -> Document {
-    max_world_at(pdoc, pdoc.root())
-}
-
-/// The maximal world of the p-subdocument `P̂_root` (`root` must be
-/// ordinary), built in place with the original node ids and the same child
-/// order as `max_world(&pdoc.subtree(root))`.
-pub fn max_world_at(pdoc: &PDocument, root: NodeId) -> Document {
-    let root_label = pdoc.label(root).expect("root ordinary");
-    let mut d = Document::with_root_id(root_label, root);
+    let root = pdoc.root();
+    let mut d = Document::with_root_id(pdoc.label(root).expect("root ordinary"), root);
     // Pre-order walk carrying each node's closest ordinary ancestor.
     let mut stack: Vec<(NodeId, NodeId)> = pdoc.children(root).iter().map(|&c| (c, root)).collect();
     while let Some((n, parent)) = stack.pop() {
@@ -437,10 +432,24 @@ mod tests {
             boolean_conjunction_probability_at(&p, NodeId(1), &pats).to_bits(),
             boolean_conjunction_probability(&sub, &pats).to_bits()
         );
-        let (at, copied) = (max_world_at(&p, NodeId(1)), max_world(&sub));
-        assert_eq!(at.to_string(), copied.to_string());
+        // The rooted skeleton an extension embeds on is the subtree's
+        // maximal world: the same nodes, labels and parents.
+        let edges = |sk: &pxv_tpq::embed::Skeleton| {
+            let mut e: Vec<_> = (0..sk.len())
+                .map(|i| {
+                    let (n, label, parent) = sk.node(i);
+                    (n, label.name(), parent.map(|p| sk.node(p).0))
+                })
+                .collect();
+            e.sort();
+            e
+        };
+        let mut at = pxv_tpq::embed::Skeleton::default();
+        at.push_pdocument(&p, NodeId(1), Some);
+        let copied = pxv_tpq::embed::Skeleton::of_document(&max_world(&sub));
+        assert_eq!(edges(&at), edges(&copied));
         assert_eq!(at.len(), 6);
-        assert_eq!(at.parent(NodeId(8)), Some(NodeId(7)));
+        assert!(edges(&at).contains(&(NodeId(8), "c", Some(NodeId(7)))));
     }
 
     #[test]

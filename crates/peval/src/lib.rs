@@ -19,6 +19,6 @@ pub mod exact;
 pub mod mc;
 
 pub use api::{
-    eval_intersection_at, eval_tp, eval_tp_at, eval_tp_at_anchored, joint_probability,
+    candidates, eval_intersection_at, eval_tp, eval_tp_at, eval_tp_at_anchored, joint_probability,
     prune_to_anchor,
 };

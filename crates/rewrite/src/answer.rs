@@ -16,8 +16,8 @@ use crate::system::SqvSystem;
 use crate::tp_rewrite::{tp_rewrite, TpRewriting};
 use crate::tpi_algorithm::{tpi_rewrite, TpiPart, TpiReject, TpiRewriting};
 use crate::tpi_rewrite::VirtualView;
-use crate::view::{ProbExtension, View};
-use pxv_pxml::{NodeId, PDocument};
+use crate::view::{parse_id_label, ProbExtension, View};
+use pxv_pxml::{Label, NodeId, PDocument};
 use pxv_tpq::pattern::TreePattern;
 use std::collections::BTreeSet;
 
@@ -107,6 +107,10 @@ pub enum PlanError {
     /// No plan of any permitted shape; carries TPIrewrite's reason when a
     /// TP∩ plan was attempted.
     NoRewriting(TpiReject),
+    /// The query spells an `Id(n)` label, which extensions reserve for
+    /// their identity markers: through a view it could match a marker
+    /// rather than a document node, so no view answers it.
+    ReservedLabel(Label),
 }
 
 impl std::fmt::Display for PlanError {
@@ -114,6 +118,10 @@ impl std::fmt::Display for PlanError {
         match self {
             PlanError::NoViews => write!(f, "no views registered"),
             PlanError::NoTpPlan => write!(f, "no single-view TP rewriting over these views"),
+            PlanError::ReservedLabel(l) => write!(
+                f,
+                "no view rewriting for a query using the reserved marker label `{l}`"
+            ),
             PlanError::NoRewriting(reason) => {
                 let why = match reason {
                     TpiReject::NotEquivalent => "the canonical plan is not equivalent to the query",
@@ -133,7 +141,9 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// Finds a probabilistic rewriting of `q` over `views` honouring
-/// `preference`, or a typed reason why none exists.
+/// `preference`, or a typed reason why none exists. A query using an
+/// `Id(n)` marker label has none ([`PlanError::ReservedLabel`]), whatever
+/// the shape.
 ///
 /// `interleaving_limit` bounds TPIrewrite's equivalence tests; use
 /// [`DEFAULT_INTERLEAVING_LIMIT`] unless you have a reason not to.
@@ -145,6 +155,13 @@ pub fn plan_checked(
 ) -> Result<Plan, PlanError> {
     if views.is_empty() {
         return Err(PlanError::NoViews);
+    }
+    if let Some(l) = q
+        .node_ids()
+        .map(|x| q.label(x))
+        .find(|&l| parse_id_label(l).is_some())
+    {
+        return Err(PlanError::ReservedLabel(l));
     }
     let try_tp = || tp_rewrite(q, views).into_iter().next().map(Plan::Tp);
     let try_tpi = || tpi_rewrite(q, views, interleaving_limit).map(Plan::Tpi);

@@ -15,6 +15,7 @@
 //! result subtree*, exactly as the paper's `fr` constructions do.
 
 use pxv_pxml::{Document, Edit, EditEffect, Label, NodeId, PDocument, PKind};
+use pxv_tpq::embed::{Embedder, Skeleton};
 use pxv_tpq::pattern::{Axis, TreePattern};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
@@ -145,6 +146,12 @@ pub struct ProbExtension {
     /// constructor starts it empty, so an edited or restored extension
     /// cannot inherit stale values.
     denominators: OnceLock<Vec<f64>>,
+    /// Every result's maximal world in preorder columns, one tree per
+    /// result, ids holding original nodes — the layout
+    /// [`ProbExtension::candidates`] embeds on. Filled on first use, never
+    /// serialized, started empty by every constructor like
+    /// `denominators`.
+    skeleton: OnceLock<Skeleton>,
 }
 
 impl ProbExtension {
@@ -294,6 +301,7 @@ impl ProbExtension {
                 orig_of: self.orig_of.clone(),
                 by_orig: self.by_orig.clone(),
                 denominators: OnceLock::new(),
+                skeleton: OnceLock::new(),
             },
             DeltaOutcome::Incremental { reused, recomputed },
         )
@@ -327,6 +335,7 @@ impl ProbExtension {
             orig_of,
             by_orig,
             denominators: OnceLock::new(),
+            skeleton: OnceLock::new(),
         }
     }
 
@@ -375,17 +384,22 @@ impl ProbExtension {
 
     /// Deterministic estimate of this extension's heap footprint in
     /// bytes: the extension p-document, the result list, the denominator
-    /// memo, and both original-id indexes. Like `PDocument::heap_bytes` it
-    /// counts logical lengths rather than allocator capacities, so a
-    /// restored (bit-identical) extension reports exactly the bytes the
-    /// original did — the figure a byte-budgeted cache charges the slot
-    /// for. The memo is charged in full whether or not a query has filled
-    /// it yet, so answering never changes the figure.
+    /// and skeleton memos, and both original-id indexes. Like
+    /// `PDocument::heap_bytes` it counts logical lengths rather than
+    /// allocator capacities, so a restored (bit-identical) extension
+    /// reports exactly the bytes the original did — the figure a
+    /// byte-budgeted cache charges the slot for. The memos are charged in
+    /// full whether or not a query has filled them yet, so answering never
+    /// changes the figure.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = size_of::<ProbExtension>() + self.pdoc.heap_bytes();
         bytes += self.results.len() * (size_of::<ViewResult>() + size_of::<f64>());
         bytes += self.orig_of.len() * (2 * size_of::<NodeId>() + 1);
+        // Skeleton: one slot (id, label, parent) per marked node, one
+        // start per result.
+        bytes += self.orig_of.len() * (size_of::<NodeId>() + size_of::<Label>() + size_of::<u32>());
+        bytes += self.results.len() * size_of::<usize>();
         for occurrences in self.by_orig.values() {
             bytes += size_of::<NodeId>() + 1 + occurrences.len() * size_of::<(usize, NodeId)>();
         }
@@ -422,19 +436,36 @@ impl ProbExtension {
         })
     }
 
+    /// Every result subtree's maximal world — its ordinary nodes minus
+    /// the `Id(·)` markers, each under its closest such ancestor — as one
+    /// tree of a contiguous column layout whose ids are the original
+    /// nodes. It depends on the extension alone, so it is laid out once,
+    /// on first use. Leaving the markers out is exact because planning
+    /// rejects queries that spell a marker label (see
+    /// [`crate::answer::plan_checked`]): no compensation can match one.
+    fn skeleton(&self) -> &Skeleton {
+        self.skeleton.get_or_init(|| {
+            let mut sk = Skeleton::default();
+            for r in &self.results {
+                sk.push_pdocument(&self.pdoc, r.ext_root, |n| self.original_of(n));
+            }
+            sk
+        })
+    }
+
     /// Original nodes a compensation selects inside some result subtree
     /// of the maximal world — every node `fr` can give a positive
-    /// probability (TP matching is monotone). Runs max-world and embedding
-    /// in place at each result root; no subtree is copied.
+    /// probability (TP matching is monotone). Embeds on the extension's
+    /// skeleton memo with one [`Embedder`] for all results; no subtree or
+    /// world document is built.
     pub fn candidates(&self, compensation: &TreePattern) -> BTreeSet<NodeId> {
+        let sk = self.skeleton();
+        let mut embedder = Embedder::new(compensation);
         let mut out = BTreeSet::new();
-        for r in &self.results {
-            let max = pxv_peval::dp::max_world_at(&self.pdoc, r.ext_root);
-            for ext_node in pxv_tpq::embed::eval(compensation, &max) {
-                if let Some(orig) = self.original_of(ext_node) {
-                    out.insert(orig);
-                }
-            }
+        for t in 0..self.results.len() {
+            embedder.eval(sk, t, |orig| {
+                out.insert(orig);
+            });
         }
         out
     }
@@ -585,9 +616,8 @@ fn scoped_answers(
     mut reuse: impl FnMut(&Scope) -> Option<f64>,
 ) -> Vec<(NodeId, f64)> {
     let j = q.first_predicate_depth();
-    let max = pxv_peval::dp::max_world(pdoc);
     let mut out = Vec::new();
-    for n in pxv_tpq::embed::eval(q, &max) {
+    for n in pxv_peval::candidates(pdoc, q) {
         let scope = Scope {
             candidate: n,
             anchor: anchor_of(pdoc, n, j),
@@ -878,12 +908,13 @@ mod tests {
         let d1: Vec<u64> = a.denominators().iter().map(|d| d.to_bits()).collect();
         let d2: Vec<u64> = b.denominators().iter().map(|d| d.to_bits()).collect();
         assert_eq!(d1, d2, "{what}: bit-identical denominators");
+        assert_eq!(a.skeleton(), b.skeleton(), "{what}: skeleton columns");
     }
 
-    /// The denominator memo is charged up front: filling it by answering
-    /// a query leaves `heap_bytes` unchanged, and the figure equals that
-    /// of the same extension rebuilt from its columns (a snapshot
-    /// restore, which starts with an empty memo).
+    /// The denominator and skeleton memos are charged up front: filling
+    /// them by answering a query leaves `heap_bytes` unchanged, and the
+    /// figure equals that of the same extension rebuilt from its columns
+    /// (a snapshot restore, which starts with empty memos).
     #[test]
     fn denominator_memo_keeps_heap_bytes_deterministic() {
         let pper = fig2_pper();
@@ -895,9 +926,12 @@ mod tests {
             .into_iter()
             .next()
             .expect("qBON has a TP plan over v2BON");
+        assert!(ext.skeleton.get().is_none() && ext.denominators.get().is_none());
         assert!(!crate::fr_tp::answer_tp(&rw, &ext).is_empty());
+        assert!(ext.skeleton.get().is_some(), "answering fills the skeleton");
         assert_eq!(ext.denominators().len(), ext.results.len());
-        assert_eq!(ext.heap_bytes(), before, "filling the memo is free");
+        assert_eq!(ext.skeleton().len(), ext.orig_entries().count());
+        assert_eq!(ext.heap_bytes(), before, "filling the memos is free");
         let roots: Vec<NodeId> = ext.results.iter().map(|r| r.ext_root).collect();
         let origs: Vec<NodeId> = ext.results.iter().map(|r| r.orig).collect();
         let probs: Vec<f64> = ext.results.iter().map(|r| r.prob).collect();

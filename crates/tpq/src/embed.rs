@@ -6,10 +6,16 @@
 //! it; a top-down pass marks the (document node, query node) pairs that
 //! participate in at least one *full* embedding. Linear in `|d| · |q|` for
 //! patterns of up to 64 nodes.
+//!
+//! There is one kernel, [`Embedder`], and it runs over one layout,
+//! [`Skeleton`]: trees in preorder columns. A [`Document`] is laid into
+//! those columns per call; the maximal world of a p-document (its
+//! ordinary nodes, each under its closest ordinary ancestor) is laid out
+//! directly, with no `Document` built — which is how view extensions keep
+//! a query-independent skeleton to embed candidates on.
 
 use crate::pattern::{Axis, QNodeId, TreePattern};
-use pxv_pxml::{Document, NodeId};
-use std::collections::HashMap;
+use pxv_pxml::{Document, Label, NodeId, PDocument};
 
 /// Per-query-node bit. Patterns are limited to 64 nodes (far beyond any
 /// pattern in the paper; evaluation over p-documents is exponential in
@@ -19,102 +25,232 @@ fn bit(x: QNodeId) -> u64 {
     1u64 << x.0
 }
 
-/// Bottom-up match table for `q` over `d`.
-pub struct MatchTable {
-    /// `at[v]` bit `x` set ⇔ subpattern rooted at `x` embeds with its root
-    /// mapped exactly to `v`.
-    pub at: HashMap<NodeId, u64>,
-    /// `below[v]` bit `x` set ⇔ subpattern `x` embeds with its root mapped
-    /// to a proper descendant of `v`.
-    pub below: HashMap<NodeId, u64>,
+/// `parent` entry of a tree's root slot.
+const NO_PARENT: u32 = u32::MAX;
+
+/// Trees laid out in preorder columns, one contiguous slot range per tree:
+/// every node comes after its parent, and its subtree occupies the slots
+/// right behind it. Only the `push_*` builders add trees, which keeps
+/// every parent slot inside its tree.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Skeleton {
+    /// Node id per slot.
+    id: Vec<NodeId>,
+    /// Node label per slot.
+    label: Vec<Label>,
+    /// Parent slot, relative to the start of the node's tree; `NO_PARENT`
+    /// at the tree root.
+    parent: Vec<u32>,
+    /// First slot of each tree.
+    starts: Vec<usize>,
 }
 
-/// Computes the bottom-up match table.
-pub fn match_table(q: &TreePattern, d: &Document) -> MatchTable {
-    let mut at: HashMap<NodeId, u64> = HashMap::with_capacity(d.len());
-    let mut below: HashMap<NodeId, u64> = HashMap::with_capacity(d.len());
-    // Pre-split children of each query node by axis.
-    let qn: Vec<QNodeId> = q.node_ids().collect();
-    for v in d.postorder() {
-        let mut child_at = 0u64;
-        let mut child_any = 0u64;
-        for &c in d.children(v) {
-            let ca = at[&c];
-            child_at |= ca;
-            child_any |= ca | below[&c];
+impl Skeleton {
+    /// `d` as a single tree.
+    pub fn of_document(d: &Document) -> Skeleton {
+        let mut sk = Skeleton::default();
+        sk.push_document(d);
+        sk
+    }
+
+    /// The maximal world of `pdoc` (every ordinary node) as a single tree.
+    pub fn of_pdocument(pdoc: &PDocument) -> Skeleton {
+        let mut sk = Skeleton::default();
+        sk.push_pdocument(pdoc, pdoc.root(), Some);
+        sk
+    }
+
+    /// Appends `d` as a new tree.
+    fn push_document(&mut self, d: &Document) {
+        self.starts.push(self.id.len());
+        let mut stack = vec![(d.root(), NO_PARENT)];
+        while let Some((n, parent)) = stack.pop() {
+            let slot = self.push_node(n, d.label(n), parent);
+            stack.extend(d.children(n).iter().map(|&c| (c, slot)));
         }
-        below.insert(v, child_any);
-        let vlabel = d.label(v);
-        let mut mask = 0u64;
-        'next: for &x in &qn {
-            if q.label(x) != vlabel {
-                continue;
-            }
+    }
+
+    /// Appends the maximal world of the p-subdocument `P̂_root` as a new
+    /// tree: the ordinary nodes `id_of` maps to an id, each under its
+    /// closest such ancestor, stored under that id. Other nodes are
+    /// skipped but their descendants are kept. `root` must be kept.
+    pub fn push_pdocument(
+        &mut self,
+        pdoc: &PDocument,
+        root: NodeId,
+        id_of: impl Fn(NodeId) -> Option<NodeId>,
+    ) {
+        self.starts.push(self.id.len());
+        let mut stack = vec![(root, NO_PARENT)];
+        while let Some((n, parent)) = stack.pop() {
+            let below = match (pdoc.label(n), id_of(n)) {
+                (Some(label), Some(id)) => self.push_node(id, label, parent),
+                _ => parent,
+            };
+            stack.extend(pdoc.children(n).iter().map(|&c| (c, below)));
+        }
+    }
+
+    /// Appends one node to the last tree; returns its tree-relative slot.
+    fn push_node(&mut self, id: NodeId, label: Label, parent: u32) -> u32 {
+        let start = self.starts.last().copied().unwrap_or(0);
+        self.id.push(id);
+        self.label.push(label);
+        self.parent.push(parent);
+        // A tree holds at most one slot per `u32` node id.
+        (self.id.len() - 1 - start) as u32
+    }
+
+    /// Number of slots over all trees.
+    pub fn len(&self) -> usize {
+        self.id.len()
+    }
+
+    /// Whether no tree has a node.
+    pub fn is_empty(&self) -> bool {
+        self.id.is_empty()
+    }
+
+    /// Id, label and parent slot (absolute; `None` at a tree root) of
+    /// slot `i`.
+    pub fn node(&self, i: usize) -> (NodeId, Label, Option<usize>) {
+        let start = self.starts[self.starts.partition_point(|&s| s <= i) - 1];
+        let parent = (self.parent[i] != NO_PARENT).then(|| start + self.parent[i] as usize);
+        (self.id[i], self.label[i], parent)
+    }
+
+    /// The slot range of tree `t`.
+    fn range(&self, t: usize) -> std::ops::Range<usize> {
+        self.starts[t]..self.starts.get(t + 1).copied().unwrap_or(self.id.len())
+    }
+}
+
+/// The embedding kernel for one pattern: its per-node labels and `/`- and
+/// `//`-children masks, computed once, plus scratch reused across trees.
+pub struct Embedder {
+    /// Label of each query node.
+    qlabel: Vec<Label>,
+    /// Bits of each query node's `/`-children.
+    child_req: Vec<u64>,
+    /// Bits of each query node's `//`-children.
+    desc_req: Vec<u64>,
+    root_bit: u64,
+    out_bit: u64,
+    /// `at[v]` bit `x` set ⇔ subpattern `x` embeds with its root mapped
+    /// exactly to slot `v`.
+    at: Vec<u64>,
+    /// Bottom-up: union of `at` over `v`'s children. Top-down: query nodes
+    /// `v`'s children may take.
+    down: Vec<u64>,
+    /// Bottom-up: union of `at` over `v`'s proper descendants. Top-down:
+    /// `//`-requirements pending below `v`.
+    pending: Vec<u64>,
+}
+
+impl Embedder {
+    /// Compiles `q`.
+    pub fn new(q: &TreePattern) -> Embedder {
+        let n = q.len();
+        let mut child_req = vec![0u64; n];
+        let mut desc_req = vec![0u64; n];
+        for x in q.node_ids() {
             for &y in q.children(x) {
-                let need = bit(y);
-                let ok = match q.axis(y) {
-                    Axis::Child => child_at & need != 0,
-                    Axis::Descendant => child_any & need != 0,
-                };
-                if !ok {
-                    continue 'next;
+                match q.axis(y) {
+                    Axis::Child => child_req[x.0 as usize] |= bit(y),
+                    Axis::Descendant => desc_req[x.0 as usize] |= bit(y),
                 }
             }
-            mask |= bit(x);
         }
-        at.insert(v, mask);
+        Embedder {
+            qlabel: q.node_ids().map(|x| q.label(x)).collect(),
+            child_req,
+            desc_req,
+            root_bit: bit(q.root()),
+            out_bit: bit(q.output()),
+            at: Vec::new(),
+            down: Vec::new(),
+            pending: Vec::new(),
+        }
     }
-    MatchTable { at, below }
+
+    /// Bottom-up pass over tree `t` (reverse preorder): fills `at`.
+    fn bottom_up(&mut self, sk: &Skeleton, t: usize) {
+        let range = sk.range(t);
+        let (labels, parents) = (&sk.label[range.clone()], &sk.parent[range]);
+        let len = labels.len();
+        for col in [&mut self.at, &mut self.down, &mut self.pending] {
+            col.clear();
+            col.resize(len, 0);
+        }
+        for v in (0..len).rev() {
+            let (child_at, below) = (self.down[v], self.pending[v]);
+            let mut mask = 0u64;
+            for (x, &l) in self.qlabel.iter().enumerate() {
+                if l == labels[v]
+                    && self.child_req[x] & !child_at == 0
+                    && self.desc_req[x] & !below == 0
+                {
+                    mask |= 1 << x;
+                }
+            }
+            self.at[v] = mask;
+            let p = parents[v];
+            if p != NO_PARENT {
+                self.down[p as usize] |= mask;
+                self.pending[p as usize] |= mask | below;
+            }
+        }
+    }
+
+    /// True iff `q` embeds into tree `t` (root to root).
+    pub fn matches(&mut self, sk: &Skeleton, t: usize) -> bool {
+        self.bottom_up(sk, t);
+        self.at.first().is_some_and(|&a| a & self.root_bit != 0)
+    }
+
+    /// Calls `emit` with the id of every node of tree `t` that is the
+    /// output image of some embedding of `q`, each once, in slot order.
+    pub fn eval(&mut self, sk: &Skeleton, t: usize, mut emit: impl FnMut(NodeId)) {
+        if !self.matches(sk, t) {
+            return;
+        }
+        let range = sk.range(t);
+        let (ids, parents) = (&sk.id[range.clone()], &sk.parent[range]);
+        // Top-down (preorder): the query nodes a slot takes in a full
+        // embedding are those its parent hands down that also match at it.
+        for v in 0..ids.len() {
+            let (active, inherited) = match parents[v] {
+                NO_PARENT => (self.root_bit & self.at[v], 0),
+                p => (self.down[p as usize] & self.at[v], self.pending[p as usize]),
+            };
+            if active & self.out_bit != 0 {
+                emit(ids[v]);
+            }
+            let (mut want_child, mut want_desc) = (0u64, 0u64);
+            let mut a = active;
+            while a != 0 {
+                let x = a.trailing_zeros() as usize;
+                a &= a - 1;
+                want_child |= self.child_req[x];
+                want_desc |= self.desc_req[x];
+            }
+            self.pending[v] = inherited | want_desc;
+            self.down[v] = want_child | self.pending[v];
+        }
+    }
 }
 
 /// True iff there is an embedding of `q` into `d` (root to root).
 pub fn matches(q: &TreePattern, d: &Document) -> bool {
-    let t = match_table(q, d);
-    t.at[&d.root()] & bit(q.root()) != 0
+    Embedder::new(q).matches(&Skeleton::of_document(d), 0)
 }
 
 /// Evaluates `q(d)`: the sorted set of output-node images over all
 /// embeddings.
 pub fn eval(q: &TreePattern, d: &Document) -> Vec<NodeId> {
-    let t = match_table(q, d);
-    if t.at[&d.root()] & bit(q.root()) == 0 {
-        return Vec::new();
-    }
-    // Top-down marking: active[v] = query nodes x whose image can be v in a
-    // full embedding; pd = query nodes that may match anywhere strictly
-    // below (inherited through `//`-edges).
-    let out_bit = bit(q.output());
     let mut answers = Vec::new();
-    // Stack of (doc node, active mask, pending-descendant mask).
-    let mut stack: Vec<(NodeId, u64, u64)> = vec![(d.root(), bit(q.root()), 0)];
-    while let Some((v, active, pd)) = stack.pop() {
-        if active & out_bit != 0 {
-            answers.push(v);
-        }
-        // Requirements emitted by active query nodes at v.
-        let mut want_child = 0u64;
-        let mut want_desc = 0u64;
-        let mut a = active;
-        while a != 0 {
-            let x = QNodeId(a.trailing_zeros());
-            a &= a - 1;
-            for &y in q.children(x) {
-                match q.axis(y) {
-                    Axis::Child => want_child |= bit(y),
-                    Axis::Descendant => want_desc |= bit(y),
-                }
-            }
-        }
-        let pd_new = pd | want_desc;
-        for &c in d.children(v) {
-            let child_active = (want_child | pd_new) & t.at[&c];
-            if child_active != 0 || pd_new & t.below[&c] != 0 || pd_new & t.at[&c] != 0 {
-                stack.push((c, child_active, pd_new));
-            }
-        }
-    }
+    Embedder::new(q).eval(&Skeleton::of_document(d), 0, |n| answers.push(n));
     answers.sort_unstable();
-    answers.dedup();
     answers
 }
 
@@ -147,6 +283,86 @@ mod tests {
         assert_eq!(eval(&qbon, &d), vec![n5]);
         assert_eq!(eval(&v1, &d), vec![n5]);
         assert_eq!(eval(&v2, &d), vec![n5, n7]);
+    }
+
+    /// The column kernel reproduces, query for query, the answers and
+    /// match verdicts of the `HashMap`-based two-pass evaluation it
+    /// replaced (values recorded from that implementation).
+    #[test]
+    fn kernel_keeps_the_previous_answers_on_fig1_dper() {
+        let d = fig1_dper();
+        let cases: [(&str, &[u32], bool); 15] = [
+            ("IT-personnel//person[name/Rick]/bonus[laptop]", &[5], true),
+            ("IT-personnel//person/bonus[laptop]", &[5], true),
+            ("IT-personnel//person[name/Rick]/bonus", &[5], true),
+            ("IT-personnel//person/bonus", &[5, 7], true),
+            ("IT-personnel//44", &[25, 55], true),
+            ("IT-personnel/person//50", &[26, 32], true),
+            ("IT-personnel//bonus//pda[44]", &[51], true),
+            ("IT-personnel//person[.//44]/name", &[4, 6], true),
+            ("IT-personnel//person[bonus/pda/15]//Mary", &[41], true),
+            ("IT-personnel[person/name/Mary]//laptop/44", &[25], true),
+            ("IT-personnel//pda/50", &[32], true),
+            ("IT-personnel//person//person", &[], false),
+            ("person//44", &[], false),
+            ("IT-personnel", &[1], true),
+            ("IT-personnel//person[name][bonus[.//50]]", &[2], true),
+        ];
+        for (s, want, matched) in cases {
+            let got: Vec<u32> = eval(&q(s), &d).iter().map(|n| n.0).collect();
+            assert_eq!(got, want, "{s}");
+            assert_eq!(matches(&q(s), &d), matched, "{s}");
+        }
+    }
+
+    /// One embedder serves several trees of a skeleton in turn; each tree
+    /// is evaluated on its own, exactly as if laid out alone.
+    #[test]
+    fn embedder_scratch_is_reused_across_trees() {
+        let docs = [
+            parse_document("a#0[b#1[c#2], b#3]").unwrap(),
+            parse_document("a#10[x#11[b#12[c#13]]]").unwrap(),
+            parse_document("b#20[c#21]").unwrap(),
+        ];
+        let mut sk = Skeleton::default();
+        for d in &docs {
+            sk.push_document(d);
+        }
+        let pat = q("a//b[c]");
+        let mut embedder = Embedder::new(&pat);
+        for (t, d) in docs.iter().enumerate() {
+            let mut got = Vec::new();
+            embedder.eval(&sk, t, |n| got.push(n));
+            got.sort_unstable();
+            assert_eq!(got, eval(&pat, d), "tree {t}");
+        }
+    }
+
+    /// The maximal-world layout of a p-document keeps every ordinary node
+    /// under its closest ordinary ancestor, skipping distributional ones.
+    #[test]
+    fn pdocument_skeleton_is_the_maximal_world() {
+        let p =
+            pxv_pxml::text::parse_pdocument("a#0[mux#1(0.5: b#2[c#3]), ind#4(0.1: d#5)]").unwrap();
+        let sk = Skeleton::of_pdocument(&p);
+        let parent_of = |sk: &Skeleton, n: u32| {
+            let slot = (0..sk.len()).find(|&i| sk.node(i).0 == NodeId(n)).unwrap();
+            sk.node(slot).2.map(|p| sk.node(p).0)
+        };
+        let mut ids: Vec<NodeId> = (0..sk.len()).map(|i| sk.node(i).0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![NodeId(0), NodeId(2), NodeId(3), NodeId(5)]);
+        assert_eq!(parent_of(&sk, 0), None);
+        assert_eq!(parent_of(&sk, 5), Some(NodeId(0)));
+        assert_eq!(parent_of(&sk, 3), Some(NodeId(2)));
+        // A kept-set filter drops nodes but keeps their descendants.
+        let mut only = Skeleton::default();
+        only.push_pdocument(&p, NodeId(0), |n| (n != NodeId(2)).then_some(n));
+        assert_eq!(parent_of(&only, 3), Some(NodeId(0)));
+        assert_eq!(only.len(), 3);
+        let mut got = Vec::new();
+        Embedder::new(&q("a/c")).eval(&only, 0, |n| got.push(n));
+        assert_eq!(got, vec![NodeId(3)]);
     }
 
     #[test]

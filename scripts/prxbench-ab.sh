@@ -11,6 +11,9 @@
 # alternating which side runs first. Prints, per end-to-end metric, the
 # median and quartiles of each side, the ratio of medians, and how many
 # pairs the working tree won (in the metric's `better` direction).
+# Finally runs one traced smoke per side (--trace 1 --seed 1), prints its
+# `ladder` and `FAILED` lines, and exits non-zero if the working tree's
+# traced run fails.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -78,3 +81,19 @@ for m in json.load(open(bench))["end_to_end"]:
     print(f"{name:<20} {b1:>8.3f} {b2:>9.3f} {b3:>9.3f} {n1:>8.3f} {n2:>9.3f} {n3:>9.3f}"
           f" {ratio:>9.3f} {wins:>5}/{pairs}")
 PY
+
+# Traced smoke: the per-layer ladder checks only run with --trace 1.
+status=0
+for side in base new; do
+    echo "traced smoke: $side" >&2
+    log="$work/$side-$workload-traced.log"
+    rc=0
+    "$work/$side-target/release/prxbench" --workload "$workload" --seed 1 \
+        --seconds "$seconds" --trace 1 >"$log" 2>&1 || rc=$?
+    echo "$side traced (--trace 1 --seed 1): exit $rc"
+    grep -E '^(ladder|FAILED)' "$log" || true
+    if [ "$side" = new ] && [ "$rc" -ne 0 ]; then
+        status=1
+    fi
+done
+exit "$status"

@@ -416,3 +416,61 @@ fn view_answers_are_bit_identical_to_golden_hashes() {
         assert_eq!(*g, w, "{name}: answer hash {g:#018x}, pinned {w:#018x}");
     }
 }
+
+/// A quoted pattern label can spell an extension's `Id(n)` marker. Through
+/// a view such a query could match the marker instead of a document node,
+/// so planning refuses it for every plan shape: under `Fallback::Direct`
+/// the answer equals direct evaluation, and without a fallback the engine
+/// reports the typed reason.
+#[test]
+fn marker_labels_in_queries_are_answered_directly() {
+    use prxview::pxml::examples_paper::fig2_pper;
+    use prxview::rewrite::PlanError;
+    use prxview::tpq::parse::parse_pattern;
+
+    let pdoc = fig2_pper();
+    let mut engine = Engine::new();
+    let doc = engine.add_document("pper", pdoc.clone()).unwrap();
+    engine
+        .register_views(vec![
+            View::new(
+                "v2BON",
+                parse_pattern("IT-personnel//person/bonus").unwrap(),
+            ),
+            View::new(
+                "v1BON",
+                parse_pattern("IT-personnel//person[name/Rick]/bonus").unwrap(),
+            ),
+        ])
+        .unwrap();
+    for q in [
+        "IT-personnel//person/bonus['Id(5)']",
+        "IT-personnel//person[name/Rick]/bonus['Id(5)']",
+        "IT-personnel//person['Id(2)']/bonus",
+    ] {
+        let q = parse_pattern(q).unwrap();
+        let want = prxview::peval::eval_tp(&pdoc, &q);
+        for preference in [PlanPreference::PreferTp, PlanPreference::TpiOnly] {
+            let opts = QueryOptions::new()
+                .plan_preference(preference)
+                .fallback(Fallback::Direct);
+            let answer = engine.answer_with(doc, &q, &opts).expect("fallback on");
+            assert!(
+                !answer.from_views(),
+                "{q} ({preference:?}) went through a view"
+            );
+            assert_eq!(answer.nodes, want, "{q} ({preference:?})");
+            let refused =
+                engine.answer_with(doc, &q, &QueryOptions::new().plan_preference(preference));
+            assert!(
+                matches!(
+                    refused,
+                    Err(prxview::engine::EngineError::Plan(
+                        PlanError::ReservedLabel(_)
+                    ))
+                ),
+                "{q} ({preference:?}): {refused:?}"
+            );
+        }
+    }
+}

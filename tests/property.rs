@@ -6,6 +6,8 @@
 //! * the syntactic c-independence test is sound for the probabilistic
 //!   identity;
 //! * whenever TPrewrite accepts, `fr` equals direct evaluation;
+//! * an extension's candidate search equals embedding on each result's
+//!   maximal world;
 //! * whenever `S(q,V)` solves, its `fr` equals direct evaluation;
 //! * TP∩ evaluation agrees with the union of interleavings;
 //! * containment is reflexive and transitive;
@@ -106,7 +108,11 @@ fn pattern_spec() -> impl Strategy<Value = PatSpec> {
 
 fn build_pattern(spec: &PatSpec) -> TreePattern {
     // Root label fixed to "a" so the pattern matches the generated roots.
-    let mut q = TreePattern::leaf(Label::new("a"));
+    build_pattern_rooted(spec, Label::new("a"))
+}
+
+fn build_pattern_rooted(spec: &PatSpec, root: Label) -> TreePattern {
+    let mut q = TreePattern::leaf(root);
     let mut mb = vec![q.root()];
     for (i, &l) in spec.mb_labels.iter().enumerate() {
         let axis = if spec.mb_desc[i % spec.mb_desc.len()] {
@@ -337,5 +343,34 @@ proptest! {
                     "S(q,V) fr mismatch for {} at {}: {} vs {}", q, n, got, pw);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// An extension's candidate search (one embedding pass over its
+    /// skeleton memo) equals its definition: the compensation's answers
+    /// on every result subtree's maximal world, mapped to original nodes.
+    /// A layout fault shows only where a distributional node sits below a
+    /// result root's children, which few small documents have: hence more
+    /// cases than the properties above.
+    #[test]
+    fn extension_candidates_match_max_world_embedding(
+        pdoc in small_pdoc(),
+        sv in pattern_spec(),
+        sc in pattern_spec(),
+    ) {
+        let view = View::new("v", build_pattern(&sv));
+        let compensation = build_pattern_rooted(&sc, view.pattern.output_label());
+        let ext = prxview::rewrite::ProbExtension::materialize(&pdoc, &view);
+        let want: std::collections::BTreeSet<NodeId> = (0..ext.results.len())
+            .flat_map(|i| {
+                let world = prxview::peval::dp::max_world(&ext.result_subtree(i));
+                prxview::tpq::embed::eval(&compensation, &world)
+            })
+            .filter_map(|e| ext.original_of(e))
+            .collect();
+        prop_assert_eq!(ext.candidates(&compensation), want, "{} over {}", compensation, view.pattern);
     }
 }
