@@ -474,3 +474,271 @@ fn marker_labels_in_queries_are_answered_directly() {
         }
     }
 }
+
+/// FNV-1a 64 over the bits of a probability list.
+fn bits_hash(values: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in values.iter().flat_map(|p| p.to_bits().to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// A small random p-document over labels `a`–`d` using all four
+/// distributional kinds (`mux`, `ind`, `det`, `exp`), with `mux` masses
+/// that often round to just under (or over) 1 — the inputs on which the
+/// DP's `|p − 1| < 1e-15` identity shortcut decides the last bits.
+fn random_all_kinds(rng: &mut StdRng) -> PDocument {
+    use prxview::pxml::{Label, PKind};
+    use rand::Rng;
+    let labels = ["a", "b", "c", "d"];
+    let lab = |rng: &mut StdRng| Label::new(labels[rng.gen_range(0..labels.len())]);
+    let mut p = PDocument::new(Label::new("a"));
+    let mut frontier = vec![(p.root(), 1usize)];
+    let mut count = 1usize;
+    while let Some((node, depth)) = frontier.pop() {
+        if depth >= 4 || count >= 11 {
+            continue;
+        }
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let kind = rng.gen_range(0..6u32);
+            let (parent, prob) = match kind {
+                0 => {
+                    let m = p.add_dist(node, PKind::Mux, 1.0);
+                    // 0.1 + 0.2 + 0.7 and 0.7 + 0.2 + 0.1 miss 1 by an ulp.
+                    let [x, y, z] = if rng.gen::<bool>() {
+                        [0.1, 0.2, 0.7]
+                    } else {
+                        [0.7, 0.2, 0.1]
+                    };
+                    for pr in [x, y, z] {
+                        let c = p.add_ordinary(m, lab(rng), pr);
+                        count += 1;
+                        frontier.push((c, depth + 1));
+                    }
+                    continue;
+                }
+                1 => (p.add_dist(node, PKind::Ind, 1.0), rng.gen_range(0.05..0.95)),
+                2 => (p.add_dist(node, PKind::Det, 1.0), 1.0),
+                3 => {
+                    let e = p.add_dist(node, PKind::Exp(Vec::new()), 1.0);
+                    let a = p.add_ordinary(e, lab(rng), 1.0);
+                    let b = p.add_ordinary(e, lab(rng), 1.0);
+                    let w: f64 = rng.gen_range(0.1..0.5);
+                    p.set_exp_distribution(e, vec![(0b11, w), (0b01, 0.3), (0b10, 0.7 - w)]);
+                    count += 2;
+                    frontier.push((a, depth + 1));
+                    frontier.push((b, depth + 1));
+                    continue;
+                }
+                _ => (node, 1.0),
+            };
+            let c = p.add_ordinary(parent, lab(rng), prob);
+            if parent != node && rng.gen::<bool>() {
+                // A second child under the same ind/det node.
+                let d = p.add_ordinary(parent, lab(rng), prob * 0.5);
+                count += 1;
+                frontier.push((d, depth + 1));
+            }
+            count += 1;
+            frontier.push((c, depth + 1));
+        }
+    }
+    assert!(p.validate().is_ok(), "{p}");
+    p
+}
+
+/// More golden bits, pinned at commit `a2fc73a` (the `HashMap`-based DP):
+/// direct evaluation (`eval_tp`) over the personnel fixture, a seeded
+/// family of small p-documents with every distributional kind, TP∩ and
+/// joint probabilities with two targets, `explain_tp` values, and each
+/// extension's denominators and bundled result probabilities.
+#[test]
+fn dp_paths_are_bit_identical_to_golden_hashes() {
+    use prxview::pxml::examples_paper::fig2_pper;
+    use prxview::pxml::generators::personnel;
+    use prxview::pxml::text::parse_pdocument;
+    use prxview::rewrite::explain::explain_tp;
+    use prxview::rewrite::ProbExtension;
+    use prxview::tpq::parse::parse_pattern;
+
+    let p = |s: &str| parse_pattern(s).unwrap();
+    let mut got: Vec<(String, u64)> = Vec::new();
+
+    // Direct evaluation over personnel(60, 3, s).
+    for seed in 1..=3 {
+        let (pdoc, _) = personnel(60, 3, seed);
+        for q in [
+            "IT-personnel//person/bonus[laptop]",
+            "IT-personnel//person[name/Rick]/bonus[laptop]",
+            "IT-personnel//bonus//pda",
+        ] {
+            let answers = prxview::peval::eval_tp(&pdoc, &p(q));
+            got.push((format!("eval_tp s{seed} {q}"), answer_hash(&answers)));
+        }
+    }
+
+    // Random documents with every kind: direct answers, Boolean
+    // conjunctions, TP∩ at every candidate and two-target joints.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0028);
+    let pat_cfg = RandomPatternConfig {
+        mb_len: 2,
+        preds_per_node: 0.8,
+        pred_depth: 1,
+        labels: ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect(),
+        ..RandomPatternConfig::default()
+    };
+    let mut family = Vec::new();
+    for _ in 0..60 {
+        let pdoc = random_all_kinds(&mut rng);
+        let q1 = random_pattern(&pat_cfg, &mut rng);
+        let q2 = random_pattern(&pat_cfg, &mut rng);
+        let mut bits = Vec::new();
+        for q in [&q1, &q2] {
+            for (n, pr) in prxview::peval::eval_tp(&pdoc, q) {
+                bits.push(f64::from(n.0));
+                bits.push(pr);
+            }
+        }
+        bits.push(prxview::peval::dp::boolean_conjunction_probability(
+            &pdoc,
+            &[q1.clone(), q2.clone()],
+        ));
+        let cands = prxview::peval::candidates(&pdoc, &q1);
+        for &n in &cands {
+            bits.push(prxview::peval::eval_intersection_at(
+                &pdoc,
+                &[q1.clone(), q2.clone()],
+                n,
+            ));
+        }
+        if let [first, .., last] = cands[..] {
+            bits.push(prxview::peval::joint_probability(
+                &pdoc,
+                &[(&q1, first), (&q2, last), (&q1, last)],
+            ));
+        }
+        family.push(bits_hash(&bits));
+    }
+    got.push(("random all-kinds family".into(), {
+        let folded: Vec<f64> = family.iter().map(|&h| f64::from_bits(h)).collect();
+        bits_hash(&folded)
+    }));
+    // The identity shortcut on an exact-looking mux: 0.7 + 0.2 + 0.1
+    // sums to 1 − 2⁻⁵³ before the leftover mass is added.
+    let ulp =
+        parse_pdocument("a#0[mux#1(0.7: x#2, 0.2: y#3, 0.1: z#4), ind#5(0.7: b#6[c#7])]").unwrap();
+    got.push((
+        "mux mass under 1".into(),
+        bits_hash(&[
+            prxview::peval::eval_tp_at(&ulp, &p("a/b[c]"), NodeId(6)),
+            prxview::peval::dp::boolean_probability(&ulp, &p("a[x]/b")),
+        ]),
+    ));
+
+    // TP∩ at a node and joint probabilities with two targets.
+    let pper = fig2_pper();
+    let (pers, _) = personnel(60, 3, 2);
+    let v2 = p("IT-personnel//person/bonus");
+    let rick = p("IT-personnel//person[name/Rick]/bonus");
+    let lap = p("IT-personnel//person/bonus[laptop]");
+    let mut bits = vec![
+        prxview::peval::eval_intersection_at(&pper, &[rick.clone(), lap.clone()], NodeId(5)),
+        prxview::peval::joint_probability(&pper, &[(&v2, NodeId(5)), (&v2, NodeId(7))]),
+        prxview::peval::joint_probability(&pper, &[(&rick, NodeId(5)), (&lap, NodeId(7))]),
+    ];
+    let bonuses = prxview::peval::candidates(&pers, &v2);
+    for w in bonuses.windows(2).take(12) {
+        bits.push(prxview::peval::eval_intersection_at(
+            &pers,
+            &[rick.clone(), lap.clone()],
+            w[0],
+        ));
+        bits.push(prxview::peval::joint_probability(
+            &pers,
+            &[(&lap, w[0]), (&rick, w[1])],
+        ));
+    }
+    got.push(("intersection and joint".into(), bits_hash(&bits)));
+
+    // explain_tp values and extension denominators / result probabilities.
+    let nested =
+        parse_pdocument("a#0[b#1[ind#2(0.7: b#3[mux#4(0.6: c#5)]), mux#6(0.3: c#7)]]").unwrap();
+    let chain = parse_pdocument(
+        "a#0[b#1[c#2[b#3[c#4[ind#5(0.5: e#6), mux#7(0.4: c#8[b#9[c#10[ind#11(0.3: e#12), d#13]]])]]]]]",
+    )
+    .unwrap();
+    let cases: Vec<(&str, PDocument, View, &str)> = vec![
+        (
+            "pers v2BON",
+            pers.clone(),
+            View::new("v2BON", v2.clone()),
+            "IT-personnel//person/bonus[laptop]",
+        ),
+        (
+            "pers v1BON",
+            pers,
+            View::new("v1BON", rick.clone()),
+            "IT-personnel//person[name/Rick]/bonus[laptop]",
+        ),
+        ("nested", nested, View::new("v", p("a//b")), "a//b//c"),
+        (
+            "chain",
+            chain,
+            View::new("v", p("a//b/c/b/c[e]")),
+            "a//b/c/b/c[e]//d",
+        ),
+        (
+            "pper v1BON",
+            pper,
+            View::new("v1BON", rick),
+            "IT-personnel//person[name/Rick]/bonus[laptop]",
+        ),
+    ];
+    for (name, pdoc, view, q) in cases {
+        let q = p(q);
+        let ext = ProbExtension::materialize(&pdoc, &view);
+        let rw = prxview::rewrite::tp_rewrite(&q, std::slice::from_ref(&view))
+            .into_iter()
+            .next()
+            .expect("a TP plan");
+        let mut bits: Vec<f64> = ext.denominators().to_vec();
+        bits.extend(ext.results.iter().map(|r| r.prob));
+        got.push((format!("{name} extension"), bits_hash(&bits)));
+        let explained: Vec<f64> = ext
+            .candidates(&rw.compensation)
+            .into_iter()
+            .map(|n| explain_tp(&rw, &ext, n).value())
+            .collect();
+        got.push((format!("{name} explain_tp"), bits_hash(&explained)));
+    }
+
+    let want: [u64; 22] = [
+        0x0d08_b23f_3da6_5560,
+        0x408f_1808_099e_507a,
+        0x2326_554b_25c8_824c,
+        0xe105_cfec_58f4_d475,
+        0xaa5a_9388_9b1d_012a,
+        0x1f30_f539_0a8e_9eb2,
+        0x6d0f_9cb1_a218_7457,
+        0x2f6e_7396_0a8d_aae7,
+        0xff90_b1bd_ac28_42d5,
+        0x11fd_88b3_ef2b_bbf5,
+        0x163e_96d7_8830_8c1f,
+        0xe4ed_0c98_579a_33e8,
+        0x2811_814c_e0e4_d2a5,
+        0x16af_96bd_3a14_47a9,
+        0xee6b_ccf6_05af_52af,
+        0x06d1_6299_cde3_1249,
+        0x4c02_cf5d_8887_bd33,
+        0xe5c7_d068_59d1_5457,
+        0x7efc_5258_3bd0_ba95,
+        0x626c_6dcb_c733_d53b,
+        0x2bfd_cbea_19be_ef7d,
+        0x50d9_1cc0_efcc_6f88,
+    ];
+    assert_eq!(got.len(), want.len());
+    for ((name, g), w) in got.iter().zip(want) {
+        assert_eq!(*g, w, "{name}: hash {g:#018x}, pinned {w:#018x}");
+    }
+}
