@@ -1,22 +1,27 @@
 //! High-level evaluation API used by the rewriting engine and examples.
 
-use crate::dp;
-use pxv_pxml::{NodeId, PDocument};
+use crate::dp::{Conjunction, Kernel};
+use pxv_pxml::{Forest, NodeId, PDocument};
 use pxv_tpq::TreePattern;
 
 /// `q(P̂)`: all node/probability pairs with positive probability, sorted by
 /// node id (the probabilistic query semantics of §2, "Querying
 /// p-documents").
 ///
-/// Candidates are found on the maximal world (TP is monotone), then each
-/// candidate's probability is computed by a pinned run of the DP.
+/// The document is laid into columns once. Candidates are found on its
+/// maximal world (TP is monotone), then each candidate's probability is
+/// one kernel run with the pattern pinned at it.
 pub fn eval_tp(pdoc: &PDocument, q: &TreePattern) -> Vec<(NodeId, f64)> {
     let mut span = pxv_obs::Span::enter("eval_tp");
-    let candidates = candidates(pdoc, q);
+    let forest = Forest::of_pdocument(pdoc, pdoc.root());
+    let candidates = candidates_in(&forest, q);
     span.record("candidates", candidates.len() as u64);
+    let mut conj = Conjunction::pinned(&[(q, pdoc.root())]);
+    let mut kernel = Kernel::default();
     let mut out = Vec::with_capacity(candidates.len());
     for n in candidates {
-        let p = eval_tp_at(pdoc, q, n);
+        conj.pin_to(n);
+        let p = kernel.probability(&forest, 0, &conj);
         if p > 0.0 {
             out.push((n, p));
         }
@@ -27,24 +32,35 @@ pub fn eval_tp(pdoc: &PDocument, q: &TreePattern) -> Vec<(NodeId, f64)> {
 
 /// The nodes `q` selects in the maximal world of `pdoc`, sorted: every
 /// node with a positive answer probability, and possibly more. Embeds on
-/// the ordinary skeleton in place; no world document is built.
+/// the document's columns; no world document is built.
 pub fn candidates(pdoc: &PDocument, q: &TreePattern) -> Vec<NodeId> {
+    candidates_in(&Forest::of_pdocument(pdoc, pdoc.root()), q)
+}
+
+fn candidates_in(forest: &Forest, q: &TreePattern) -> Vec<NodeId> {
     let mut out = Vec::new();
-    pxv_tpq::embed::Embedder::new(q).eval(&pxv_tpq::embed::Skeleton::of_pdocument(pdoc), 0, |n| {
-        out.push(n)
-    });
+    pxv_tpq::embed::Embedder::new(q).eval(forest, 0, |n| out.push(n));
     out.sort_unstable();
     out
 }
 
-/// `Pr(n ∈ q(P))` for one target node.
-pub fn eval_tp_at(pdoc: &PDocument, q: &TreePattern, n: NodeId) -> f64 {
-    if !pdoc.contains(n) {
+/// `Pr(⋀_i n_i ∈ q_i(P))` for `(pattern, target)` pairs: one kernel run
+/// over the document's columns with each pattern pinned at its target.
+/// Only ordinary nodes are ever selected, so any other target gives 0.
+fn pinned_probability(pdoc: &PDocument, specs: &[(&TreePattern, NodeId)]) -> f64 {
+    if specs
+        .iter()
+        .any(|&(_, n)| !pdoc.contains(n) || pdoc.label(n).is_none())
+    {
         return 0.0;
     }
-    let (pinned_doc, label) = dp::pin_node(pdoc, n, 0);
-    let pinned_q = dp::pin_pattern(q, label);
-    dp::boolean_probability(&pinned_doc, &pinned_q)
+    let forest = Forest::of_pdocument(pdoc, pdoc.root());
+    Kernel::default().probability(&forest, 0, &Conjunction::pinned(specs))
+}
+
+/// `Pr(n ∈ q(P))` for one target node.
+pub fn eval_tp_at(pdoc: &PDocument, q: &TreePattern, n: NodeId) -> f64 {
+    pinned_probability(pdoc, &[(q, n)])
 }
 
 /// The *scope* of a candidate under an anchor: the sub-p-document induced
@@ -142,9 +158,8 @@ pub fn eval_intersection_at(pdoc: &PDocument, parts: &[TreePattern], n: NodeId) 
             0.0
         };
     }
-    let (pinned_doc, label) = dp::pin_node(pdoc, n, 0);
-    let pinned: Vec<TreePattern> = parts.iter().map(|q| dp::pin_pattern(q, label)).collect();
-    dp::boolean_conjunction_probability(&pinned_doc, &pinned)
+    let specs: Vec<(&TreePattern, NodeId)> = parts.iter().map(|q| (q, n)).collect();
+    pinned_probability(pdoc, &specs)
 }
 
 /// Joint probability of several (pattern, target) pairs holding at once:
@@ -153,26 +168,7 @@ pub fn joint_probability(pdoc: &PDocument, specs: &[(&TreePattern, NodeId)]) -> 
     if specs.is_empty() {
         return 1.0;
     }
-    // Pin each distinct target once; reuse pins across patterns.
-    let mut doc = pdoc.clone();
-    let mut pins: Vec<(NodeId, pxv_pxml::Label)> = Vec::new();
-    let mut pinned = Vec::with_capacity(specs.len());
-    for &(q, n) in specs {
-        if !pdoc.contains(n) {
-            return 0.0;
-        }
-        let label = match pins.iter().find(|&&(m, _)| m == n) {
-            Some(&(_, l)) => l,
-            None => {
-                let l = dp::pin_label(pins.len());
-                doc.add_ordinary(n, l, 1.0);
-                pins.push((n, l));
-                l
-            }
-        };
-        pinned.push(dp::pin_pattern(q, label));
-    }
-    dp::boolean_conjunction_probability(&doc, &pinned)
+    pinned_probability(pdoc, specs)
 }
 
 #[cfg(test)]

@@ -21,233 +21,360 @@
 //! exponential in query size in the worst case — the envelope the paper
 //! states for \[22\] (PTime data complexity, intractable query complexity).
 //!
-//! `Pr(n ∈ q(P))` reduces to a Boolean match by *pinning*: attach a fresh
-//! `⟨t⟩`-labeled child below `n` and extend `out(q)` with a `/`-child
-//! `⟨t⟩`; the pinned pattern matches exactly when some embedding sends
-//! `out(q)` to `n`.
+//! `Pr(n ∈ q(P))` reduces to a Boolean match by *pinning*: give `n` a
+//! certain, childless child that only a pin query node matches, and extend
+//! `out(q)` with that pin as a `/`-child; the pinned pattern matches
+//! exactly when some embedding sends `out(q)` to `n`. Pins are virtual:
+//! the kernel plays the pin child's message at the target slot, so no
+//! document or pattern is copied per target.
+//!
+//! ## One kernel
+//!
+//! A [`Conjunction`] is compiled once: per query node, its label and one
+//! requirement mask. [`Kernel::probability`] walks one tree of a
+//! [`Forest`] in reverse preorder with a message stack — when a slot is
+//! processed, its children's messages sit on top of the stack in child
+//! order — and reuses its buffers across runs. Distributions are flat
+//! `(state, probability)` lists. Their order is that of the hash table the
+//! DP used to keep them in (see `crate::table`), because float sums depend
+//! on the order of their terms and answers stay bit-identical to it.
 
-use pxv_pxml::{Document, Label, NodeId, PDocument, PKind};
-use pxv_tpq::pattern::{Axis, QNodeId, TreePattern};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::table::{Dist, State, Table};
+use pxv_pxml::forest::{Forest, Slot, Tree, NO_PARENT};
+use pxv_pxml::{Document, Label, NodeId, PDocument};
+use pxv_tpq::pattern::{Axis, TreePattern};
 
-/// Joint event state: bit `2j` = `A(x_j)`, bit `2j+1` = `B(x_j)` over
-/// global query-node indices `j`.
-type State = u128;
+/// Where a slot's pin child sits among its children.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum PinSite {
+    /// Before the children: where a view extension's `Id(·)` marker is.
+    First,
+    /// After the children: where pinning a copy of the document appended
+    /// its pin.
+    Last,
+}
 
-/// Deterministic hasher for [`Dist`] keys. Float accumulation in this
-/// module iterates `Dist` maps (OR-convolution, mixing), so iteration
-/// order — and with it the ULP rounding of the sums — must not vary
-/// between map instances. The std `RandomState` seeds every map
-/// differently, which made two evaluations of the same query differ in
-/// the last bits; the serving layer's bit-identical answers forbid that.
-#[derive(Default)]
-struct StateHasher(u64);
+/// A conjunction of Boolean patterns compiled for the [`Kernel`], with
+/// global query-node indices `offset(pattern) + node`.
+#[derive(Clone, Debug)]
+pub struct Conjunction {
+    /// Label of each query node (never compared for a pin).
+    label: Vec<Label>,
+    /// Per query node: the `A` bit of each `/`-child and the `B` bit of
+    /// each `//`-child — what a slot's children must provide for the node
+    /// to embed there.
+    req: Vec<State>,
+    /// Bit `g` set ⇔ query node `g` matches by label (is not a pin).
+    matchable: u64,
+    /// Pin targets with the `A|B` bits of the pin nodes on each.
+    pins: Vec<(NodeId, State)>,
+    site: PinSite,
+    /// `A` bits of the pattern roots.
+    need: State,
+    /// Every `B` bit.
+    b_all: State,
+}
 
-impl Hasher for StateHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+fn a_bit(g: usize) -> State {
+    1u128 << (2 * g)
+}
+
+fn b_bit(g: usize) -> State {
+    1u128 << (2 * g + 1)
+}
+
+impl Conjunction {
+    fn empty(site: PinSite) -> Conjunction {
+        Conjunction {
+            label: Vec::new(),
+            req: Vec::new(),
+            matchable: 0,
+            pins: Vec::new(),
+            site,
+            need: 0,
+            b_all: 0,
         }
     }
 
-    fn write_u128(&mut self, v: u128) {
-        // Fibonacci-style mix of both halves; states are sparse bitmasks,
-        // so the multiply spreads low-bit patterns across the table.
-        for half in [v as u64, (v >> 64) as u64] {
-            self.0 = (self.0 ^ half).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            self.0 ^= self.0 >> 32;
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Sparse distribution over states (deterministic iteration order given
-/// the same insertion history — see [`StateHasher`]).
-type Dist = HashMap<State, f64, BuildHasherDefault<StateHasher>>;
-
-/// A conjunction of Boolean patterns, with precomputed global bit indices.
-struct Conjunction<'a> {
-    patterns: &'a [TreePattern],
-    /// Global index of pattern `i` node `x` = `offset[i] + x.0`.
-    offsets: Vec<u32>,
-    /// For every global node index: (pattern, node id).
-    nodes: Vec<(usize, QNodeId)>,
-}
-
-impl<'a> Conjunction<'a> {
-    fn new(patterns: &'a [TreePattern]) -> Conjunction<'a> {
-        let mut offsets = Vec::with_capacity(patterns.len());
-        let mut nodes = Vec::new();
-        let mut total = 0u32;
-        for (i, p) in patterns.iter().enumerate() {
-            offsets.push(total);
-            for x in p.node_ids() {
-                nodes.push((i, x));
+    /// Compiles `patterns`. A leaf whose label `pin_of` maps to a node is
+    /// a pin on that node, sitting where an extension's `Id(·)` marker
+    /// sits: before the node's children.
+    pub fn new(patterns: &[TreePattern], pin_of: impl Fn(Label) -> Option<NodeId>) -> Conjunction {
+        let mut c = Conjunction::empty(PinSite::First);
+        for q in patterns {
+            let offset = c.add(q);
+            for x in q.node_ids() {
+                let target = pin_of(q.label(x)).filter(|_| q.children(x).is_empty());
+                if let Some(t) = target {
+                    c.pin(t, offset + x.0 as usize);
+                }
             }
-            total += p.len() as u32;
         }
+        c
+    }
+
+    /// Compiles each pattern with a pin `/`-child under its output on its
+    /// target node, sitting after the node's children. Patterns with the
+    /// same target share the target's one pin child.
+    pub fn pinned(specs: &[(&TreePattern, NodeId)]) -> Conjunction {
+        let mut c = Conjunction::empty(PinSite::Last);
+        for &(q, t) in specs {
+            let offset = c.add(q);
+            c.reserve(1);
+            let g = c.label.len();
+            c.label.push(q.output_label());
+            c.req.push(0);
+            c.b_all |= b_bit(g);
+            c.req[offset + q.output().0 as usize] |= a_bit(g);
+            c.pin(t, g);
+        }
+        c
+    }
+
+    /// Appends `q`'s nodes as matchable; returns its offset.
+    fn add(&mut self, q: &TreePattern) -> usize {
+        let offset = self.label.len();
+        self.reserve(q.len());
+        for x in q.node_ids() {
+            let g = offset + x.0 as usize;
+            let mut req = 0;
+            for &y in q.children(x) {
+                let gy = offset + y.0 as usize;
+                req |= match q.axis(y) {
+                    Axis::Child => a_bit(gy),
+                    Axis::Descendant => b_bit(gy),
+                };
+            }
+            self.label.push(q.label(x));
+            self.req.push(req);
+            self.b_all |= b_bit(g);
+            self.matchable |= 1 << g;
+        }
+        self.need |= a_bit(offset + q.root().0 as usize);
+        offset
+    }
+
+    /// Makes query node `g` a pin on `target`.
+    fn pin(&mut self, target: NodeId, g: usize) {
+        self.matchable &= !(1 << g);
+        let bits = a_bit(g) | b_bit(g);
+        match self.pins.iter_mut().find(|p| p.0 == target) {
+            Some(p) => p.1 |= bits,
+            None => self.pins.push((target, bits)),
+        }
+    }
+
+    /// Checks that `more` query nodes still fit the state.
+    fn reserve(&self, more: usize) {
+        let total = self.label.len() + more;
         assert!(
             total <= 64,
             "conjunction too large for the 128-bit state encoding ({total} query nodes)"
         );
-        Conjunction {
-            patterns,
-            offsets,
-            nodes,
-        }
     }
 
-    fn gid(&self, pattern: usize, x: QNodeId) -> u32 {
-        self.offsets[pattern] + x.0
+    /// Moves the conjunction's one pin target to `n`.
+    pub fn pin_to(&mut self, n: NodeId) {
+        assert_eq!(self.pins.len(), 1, "exactly one pin target");
+        self.pins[0].0 = n;
     }
 
-    fn a_bit(&self, g: u32) -> State {
-        1u128 << (2 * g)
+    /// `A|B` bits of the pins on node `n`.
+    fn pin_bits(&self, n: NodeId) -> State {
+        self.pins.iter().find(|p| p.0 == n).map_or(0, |p| p.1)
     }
 
-    fn b_bit(&self, g: u32) -> State {
-        1u128 << (2 * g + 1)
-    }
-}
-
-/// OR-convolution of two independent event distributions.
-fn or_convolve(d1: &Dist, d2: &Dist) -> Dist {
-    if d1.len() == 1 {
-        if let Some((&0, &p)) = d1.iter().next() {
-            if (p - 1.0).abs() < 1e-15 {
-                return d2.clone();
+    /// Query nodes matching at an ordinary slot labeled `label`.
+    fn here(&self, label: Label) -> u64 {
+        let mut here = 0u64;
+        let mut m = self.matchable;
+        while m != 0 {
+            let g = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if self.label[g] == label {
+                here |= 1 << g;
             }
         }
+        here
     }
-    let mut out = dist_with_capacity(d1.len() * d2.len());
-    for (&s1, &p1) in d1 {
-        for (&s2, &p2) in d2 {
-            *out.entry(s1 | s2).or_insert(0.0) += p1 * p2;
+
+    /// The state an ordinary slot passes up when its children's joint
+    /// state is `s` and `here` holds the query nodes matching its label.
+    fn lift(&self, s: State, here: u64) -> State {
+        let mut ns = s & self.b_all;
+        let mut h = here;
+        while h != 0 {
+            let g = h.trailing_zeros() as usize;
+            h &= h - 1;
+            if s & self.req[g] == self.req[g] {
+                ns |= a_bit(g) | b_bit(g);
+            }
         }
+        ns
     }
-    out
 }
 
-/// A `Dist` with capacity `n` and the deterministic hasher.
-fn dist_with_capacity(n: usize) -> Dist {
-    Dist::with_capacity_and_hasher(n, Default::default())
+/// The probability DP over one tree of a [`Forest`]; holds scratch
+/// buffers that every run reuses, so a warm kernel allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Kernel {
+    /// Messages of processed slots whose parent is still pending, back to
+    /// back.
+    msgs: Dist,
+    /// Per pending message: its start in `msgs` and its parent slot.
+    frames: Vec<(usize, u32)>,
+    /// Message ranges of the slot being processed's children, in order.
+    kids: Vec<(usize, usize)>,
+    acc: Dist,
+    tmp: Dist,
+    part: Dist,
+    table: Table,
+    outer: Table,
 }
 
-fn delta_zero() -> Dist {
-    let mut d = dist_with_capacity(1);
-    d.insert(0, 1.0);
-    d
-}
-
-/// Mixes `d` with the empty distribution: kept with probability `p`.
-fn keep_with(d: Dist, p: f64) -> Dist {
-    let mut out = dist_with_capacity(d.len() + 1);
-    for (s, q) in d {
-        *out.entry(s).or_insert(0.0) += p * q;
+impl Kernel {
+    /// Probability that every pattern of `conj` matches tree `t` of
+    /// `forest` with its root at the tree root.
+    pub fn probability(&mut self, forest: &Forest, t: usize, conj: &Conjunction) -> f64 {
+        let tree = forest.tree(t);
+        self.msgs.clear();
+        self.frames.clear();
+        for v in (0..tree.len()).rev() {
+            // Children's frames are the top ones naming `v` as parent, the
+            // first child on top.
+            let mut below = self.frames.len();
+            while below > 0 && self.frames[below - 1].1 == v as u32 {
+                below -= 1;
+            }
+            self.kids.clear();
+            for j in (below..self.frames.len()).rev() {
+                let end = self.frames.get(j + 1).map_or(self.msgs.len(), |f| f.0);
+                self.kids.push((self.frames[j].0, end));
+            }
+            self.message(&tree, v, conj);
+            let base = self.frames.get(below).map_or(self.msgs.len(), |f| f.0);
+            self.msgs.truncate(base);
+            self.frames.truncate(below);
+            self.frames.push((base, tree.parent[v]));
+            self.msgs.extend_from_slice(&self.acc);
+        }
+        debug_assert_eq!(self.frames.len(), 1);
+        debug_assert_eq!(self.frames[0].1, NO_PARENT);
+        self.msgs
+            .iter()
+            .filter(|&&(s, _)| s & conj.need == conj.need)
+            .map(|&(_, p)| p)
+            .sum()
     }
-    *out.entry(0).or_insert(0.0) += 1.0 - p;
-    out
-}
 
-/// Computes the (A, B) event distribution contributed by p-document node
-/// `n` to its closest ordinary ancestor.
-fn message(pdoc: &PDocument, conj: &Conjunction<'_>, n: NodeId) -> Dist {
-    match pdoc.kind(n) {
-        PKind::Ordinary(label) => ordinary_message(pdoc, conj, n, *label),
-        PKind::Mux => {
-            let mut out = Dist::default();
-            let mut mass = 0.0;
-            for &c in pdoc.children(n) {
-                let p = pdoc.child_prob(n, c);
-                mass += p;
-                for (s, q) in message(pdoc, conj, c) {
-                    *out.entry(s).or_insert(0.0) += p * q;
+    /// Computes slot `v`'s message into `acc` from its children's
+    /// messages (`kids`, in child order).
+    fn message(&mut self, tree: &Tree<'_>, v: usize, conj: &Conjunction) {
+        let Kernel {
+            msgs,
+            kids,
+            acc,
+            tmp,
+            part,
+            table,
+            outer,
+            ..
+        } = self;
+        let kid = |k: usize| &msgs[kids[k].0..kids[k].1];
+        acc.clear();
+        match tree.kind[v] {
+            Slot::Ordinary => {
+                let pin = conj.pin_bits(tree.id[v]);
+                // A pin child before the children turns the empty start
+                // into the pin's certain state; a missing pin leaves it.
+                let first = if conj.site == PinSite::First { pin } else { 0 };
+                acc.push((first, 1.0));
+                for k in 0..kids.len() {
+                    or_convolve(table, acc, kid(k), tmp);
                 }
+                if conj.site == PinSite::Last && pin != 0 {
+                    or_convolve(table, acc, &[(pin, 1.0)], tmp);
+                }
+                let here = conj.here(tree.label[v]);
+                table.reset(acc.len());
+                for &(s, p) in acc.iter() {
+                    table.add(conj.lift(s, here), p);
+                }
+                table.list_into(acc);
             }
-            *out.entry(0).or_insert(0.0) += (1.0 - mass).max(0.0);
-            out
-        }
-        PKind::Ind => {
-            let mut acc = delta_zero();
-            for &c in pdoc.children(n) {
-                let p = pdoc.child_prob(n, c);
-                let msg = keep_with(message(pdoc, conj, c), p);
-                acc = or_convolve(&acc, &msg);
-            }
-            acc
-        }
-        PKind::Det => {
-            let mut acc = delta_zero();
-            for &c in pdoc.children(n) {
-                let msg = message(pdoc, conj, c);
-                acc = or_convolve(&acc, &msg);
-            }
-            acc
-        }
-        PKind::Exp(dist) => {
-            let kids = pdoc.children(n).to_vec();
-            let msgs: Vec<Dist> = kids.iter().map(|&c| message(pdoc, conj, c)).collect();
-            let mut out = Dist::default();
-            for &(mask, pm) in dist {
-                let mut acc = delta_zero();
-                for (i, msg) in msgs.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        acc = or_convolve(&acc, msg);
+            Slot::Mux => {
+                let probs = tree.edge_probs(v, kids.len());
+                table.reset(0);
+                let mut mass = 0.0;
+                for (k, &p) in probs.iter().enumerate() {
+                    mass += p;
+                    for &(s, q) in kid(k) {
+                        table.add(s, p * q);
                     }
                 }
-                for (s, q) in acc {
-                    *out.entry(s).or_insert(0.0) += pm * q;
+                table.add(0, (1.0 - mass).max(0.0));
+                table.list_into(acc);
+            }
+            Slot::Ind => {
+                let probs = tree.edge_probs(v, kids.len());
+                acc.push((0, 1.0));
+                for (k, &p) in probs.iter().enumerate() {
+                    // The child kept with probability `p`.
+                    let msg = kid(k);
+                    table.reset(msg.len() + 1);
+                    for &(s, q) in msg {
+                        table.add(s, p * q);
+                    }
+                    table.add(0, 1.0 - p);
+                    table.list_into(part);
+                    or_convolve(table, acc, part, tmp);
                 }
             }
-            out
+            Slot::Det => {
+                acc.push((0, 1.0));
+                for k in 0..kids.len() {
+                    or_convolve(table, acc, kid(k), tmp);
+                }
+            }
+            Slot::Exp => {
+                outer.reset(0);
+                for &(mask, pm) in tree.exp_table(v) {
+                    part.clear();
+                    part.push((0, 1.0));
+                    for k in 0..kids.len() {
+                        if mask & (1 << k) != 0 {
+                            or_convolve(table, part, kid(k), tmp);
+                        }
+                    }
+                    for &(s, q) in part.iter() {
+                        outer.add(s, pm * q);
+                    }
+                }
+                outer.list_into(acc);
+            }
         }
     }
 }
 
-/// Message of an ordinary node: combine children, then derive `A_v`/`B_v`.
-fn ordinary_message(pdoc: &PDocument, conj: &Conjunction<'_>, v: NodeId, label: Label) -> Dist {
-    let mut children_dist = delta_zero();
-    for &c in pdoc.children(v) {
-        let msg = message(pdoc, conj, c);
-        children_dist = or_convolve(&children_dist, &msg);
-    }
-    // For each aggregated child state, compute this node's (A, B) state.
-    let mut out = dist_with_capacity(children_dist.len());
-    for (s, p) in children_dist {
-        let mut ns: State = 0;
-        for (g, &(pi, x)) in conj.nodes.iter().enumerate() {
-            let g = g as u32;
-            let q = &conj.patterns[pi];
-            debug_assert_eq!(conj.gid(pi, x), g);
-            let mut a = q.label(x) == label;
-            if a {
-                for &y in q.children(x) {
-                    let gy = conj.gid(pi, y);
-                    let ok = match q.axis(y) {
-                        Axis::Child => s & conj.a_bit(gy) != 0,
-                        Axis::Descendant => s & conj.b_bit(gy) != 0,
-                    };
-                    if !ok {
-                        a = false;
-                        break;
-                    }
-                }
-            }
-            let b = a || (s & conj.b_bit(g) != 0);
-            if a {
-                ns |= conj.a_bit(g);
-            }
-            if b {
-                ns |= conj.b_bit(g);
-            }
+/// `d1 ← d1 ⊛ d2`, the OR-convolution of two independent event
+/// distributions. A `d1` that is the empty state with probability 1 (to
+/// within 1e-15) leaves `d2` as it is.
+fn or_convolve(table: &mut Table, d1: &mut Dist, d2: &[(State, f64)], tmp: &mut Dist) {
+    if let [(0, p)] = d1[..] {
+        if (p - 1.0).abs() < 1e-15 {
+            d1.clear();
+            d1.extend_from_slice(d2);
+            return;
         }
-        *out.entry(ns).or_insert(0.0) += p;
     }
-    out
+    table.reset(d1.len() * d2.len());
+    for &(s1, p1) in d1.iter() {
+        for &(s2, p2) in d2 {
+            table.add(s1 | s2, p1 * p2);
+        }
+    }
+    table.list_into(tmp);
+    std::mem::swap(d1, tmp);
 }
 
 /// Probability that **all** patterns match the random document (with their
@@ -257,11 +384,8 @@ pub fn boolean_conjunction_probability(pdoc: &PDocument, patterns: &[TreePattern
 }
 
 /// [`boolean_conjunction_probability`] over the p-subdocument `P̂_root`
-/// (`root` must be ordinary), evaluated in place: the DP runs from `root`
-/// instead of copying the subtree out first. `PDocument::subtree` keeps
-/// child order and edge probabilities, so this performs the same float
-/// operations in the same order as evaluating the copy — the results are
-/// bit-identical.
+/// (`root` must be ordinary): the subdocument is laid into columns and
+/// the kernel runs on them.
 pub fn boolean_conjunction_probability_at(
     pdoc: &PDocument,
     root: NodeId,
@@ -270,17 +394,8 @@ pub fn boolean_conjunction_probability_at(
     if patterns.is_empty() {
         return 1.0;
     }
-    let conj = Conjunction::new(patterns);
-    let root_dist = message(pdoc, &conj, root);
-    let mut need: State = 0;
-    for (i, p) in patterns.iter().enumerate() {
-        need |= conj.a_bit(conj.gid(i, p.root()));
-    }
-    root_dist
-        .iter()
-        .filter(|&(&s, _)| s & need == need)
-        .map(|(_, &p)| p)
-        .sum()
+    let conj = Conjunction::new(patterns, |_| None);
+    Kernel::default().probability(&Forest::of_pdocument(pdoc, root), 0, &conj)
 }
 
 /// Probability that a single Boolean pattern matches.
@@ -288,38 +403,17 @@ pub fn boolean_probability(pdoc: &PDocument, q: &TreePattern) -> f64 {
     boolean_probability_at(pdoc, pdoc.root(), q)
 }
 
-/// [`boolean_probability`] over the p-subdocument `P̂_root`, in place (see
+/// [`boolean_probability`] over the p-subdocument `P̂_root` (see
 /// [`boolean_conjunction_probability_at`]).
 pub fn boolean_probability_at(pdoc: &PDocument, root: NodeId, q: &TreePattern) -> f64 {
     boolean_conjunction_probability_at(pdoc, root, std::slice::from_ref(q))
 }
 
-/// Fresh pin label for a target node.
-pub fn pin_label(tag: usize) -> Label {
-    Label::new(&format!("\u{27e8}t{tag}\u{27e9}"))
-}
-
-/// Returns a copy of `pdoc` with a certain `⟨t⟩`-labeled ordinary child
-/// below `n`, and the pin label used.
-pub fn pin_node(pdoc: &PDocument, n: NodeId, tag: usize) -> (PDocument, Label) {
-    let label = pin_label(tag);
-    let mut p = pdoc.clone();
-    p.add_ordinary(n, label, 1.0);
-    (p, label)
-}
-
-/// Returns `q` extended with a `/`-child `label` under its output node.
-pub fn pin_pattern(q: &TreePattern, label: Label) -> TreePattern {
-    let mut p = q.clone();
-    p.add_child(q.output(), Axis::Child, label);
-    p
-}
-
 /// The *maximal world*: the document keeping every ordinary node.
 /// TP matching is monotone, so any node selected in some world is selected
-/// here. Candidate search embeds on the same tree laid out in columns
-/// (`pxv_tpq::embed::Skeleton::of_pdocument`) without building a
-/// `Document`; this walk stays as its independent reference.
+/// here. Candidate search embeds on the p-document's columns
+/// (`pxv_pxml::Forest`) without building a `Document`; this walk stays as
+/// its independent reference.
 pub fn max_world(pdoc: &PDocument) -> Document {
     let root = pdoc.root();
     let mut d = Document::with_root_id(pdoc.label(root).expect("root ordinary"), root);
@@ -396,10 +490,13 @@ mod tests {
     fn pinning_selects_one_node() {
         // Two b nodes; pin the one behind the mux.
         let p = parse_pdocument("a#0[b#1, mux#2(0.25: b#3)]").unwrap();
-        let (pinned_doc, label) = pin_node(&p, NodeId(3), 0);
-        let pinned_q = pin_pattern(&q("a/b"), label);
-        let pr = boolean_probability(&pinned_doc, &pinned_q);
-        assert!((pr - 0.25).abs() < 1e-12);
+        let forest = Forest::of_pdocument(&p, p.root());
+        let pattern = q("a/b");
+        let mut conj = Conjunction::pinned(&[(&pattern, NodeId(3))]);
+        let mut kernel = Kernel::default();
+        assert!((kernel.probability(&forest, 0, &conj) - 0.25).abs() < 1e-12);
+        conj.pin_to(NodeId(1));
+        assert!((kernel.probability(&forest, 0, &conj) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -432,24 +529,11 @@ mod tests {
             boolean_conjunction_probability_at(&p, NodeId(1), &pats).to_bits(),
             boolean_conjunction_probability(&sub, &pats).to_bits()
         );
-        // The rooted skeleton an extension embeds on is the subtree's
-        // maximal world: the same nodes, labels and parents.
-        let edges = |sk: &pxv_tpq::embed::Skeleton| {
-            let mut e: Vec<_> = (0..sk.len())
-                .map(|i| {
-                    let (n, label, parent) = sk.node(i);
-                    (n, label.name(), parent.map(|p| sk.node(p).0))
-                })
-                .collect();
-            e.sort();
-            e
-        };
-        let mut at = pxv_tpq::embed::Skeleton::default();
-        at.push_pdocument(&p, NodeId(1), Some);
-        let copied = pxv_tpq::embed::Skeleton::of_document(&max_world(&sub));
-        assert_eq!(edges(&at), edges(&copied));
-        assert_eq!(at.len(), 6);
-        assert!(edges(&at).contains(&(NodeId(8), "c", Some(NodeId(7)))));
+        // The rooted columns hold exactly the subtree.
+        assert_eq!(
+            Forest::of_pdocument(&p, NodeId(1)),
+            Forest::of_pdocument(&sub, NodeId(1))
+        );
     }
 
     #[test]

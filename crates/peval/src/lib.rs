@@ -17,6 +17,7 @@ pub mod api;
 pub mod dp;
 pub mod exact;
 pub mod mc;
+mod table;
 
 pub use api::{
     candidates, eval_intersection_at, eval_tp, eval_tp_at, eval_tp_at_anchored, joint_probability,

@@ -20,6 +20,7 @@
 pub mod document;
 pub mod edit;
 pub mod examples_paper;
+pub mod forest;
 pub mod generators;
 pub mod label;
 pub mod pdocument;
@@ -29,6 +30,7 @@ pub mod worlds;
 
 pub use document::{Document, NodeId};
 pub use edit::{Edit, EditEffect, EditError};
+pub use forest::{Forest, Shape, Slot, Tree};
 pub use label::{symbol_count, Label, Symbol};
 pub use pdocument::{PDocError, PDocument, PKind};
 pub use worlds::PxSpace;

@@ -210,6 +210,13 @@ impl PDocument {
         }
     }
 
+    /// Edge probabilities of `n`'s children, in child order: the survival
+    /// probabilities of a `mux`/`ind` node's children (1.0 entries
+    /// elsewhere; an `exp` node's marginals come from [`Self::child_prob`]).
+    pub fn edge_probs(&self, n: NodeId) -> &[f64] {
+        &self.nodes[&n].probs
+    }
+
     fn insert(&mut self, parent: NodeId, kind: PKind, prob: f64, id: NodeId) {
         assert!(
             !self.nodes.contains_key(&id),

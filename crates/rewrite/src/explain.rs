@@ -161,12 +161,11 @@ pub fn explain_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> Explanati
     if anc.is_empty() {
         return Explanation::NotAnAnswer { node: n };
     }
+    let mut fr = crate::fr_tp::Fr::new(rw, ext);
     if anc.len() == 1 {
         let i = anc[0];
         let beta = ext.results[i].prob;
-        let comp_pinned = crate::fr_tp::mark_output(&rw.compensation, n);
-        let numerator =
-            pxv_peval::dp::boolean_probability_at(&ext.pdoc, ext.results[i].ext_root, &comp_pinned);
+        let numerator = fr.numerator(i, n);
         let denominator = ext.denominators()[i];
         let result = if denominator > 0.0 {
             beta * numerator / denominator
@@ -185,7 +184,7 @@ pub fn explain_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> Explanati
     }
     // Multiple ancestors: report the subset terms by re-running fr on each
     // singleton/subset through the public function (values only).
-    let full = crate::fr_tp::fr_tp(rw, ext, n);
+    let full = fr.at(n);
     let mut terms = Vec::new();
     let a = anc.len();
     for mask in 1u32..(1 << a) {
@@ -197,7 +196,7 @@ pub fn explain_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> Explanati
         let sign = if subset.len() % 2 == 1 { 1.0 } else { -1.0 };
         // Recompute the subset's joint probability through the restricted
         // machinery: Pr(⋂ e_i) as in fr_tp's inner loop.
-        let value = crate::fr_tp::joint_event_probability_public(rw, ext, n, &subset);
+        let value = fr.joint_event(n, &subset);
         terms.push(IeTerm {
             ancestors,
             sign,

@@ -16,7 +16,8 @@
 //!   (`s(i,j) ≤ m`, Theorem 2, case `u ≥ 1`).
 
 use crate::tp_rewrite::TpRewriting;
-use crate::view::{id_label, ProbExtension};
+use crate::view::{id_label, parse_id_label, ProbExtension};
+use pxv_peval::dp::{Conjunction, Kernel};
 use pxv_pxml::NodeId;
 use pxv_tpq::compose::comp;
 use pxv_tpq::pattern::{Axis, TreePattern};
@@ -49,123 +50,139 @@ fn descend_plan(root_label: pxv_pxml::Label, sub: &TreePattern) -> TreePattern {
     q
 }
 
-/// `fr(n)` for an accepted TP-rewriting: `Pr(n ∈ q(P))` computed from the
-/// view extension alone.
-///
-/// Every DP runs in place on `ext.pdoc` at a result root, and the
-/// view-only denominator comes from [`ProbExtension::denominators`]: no
-/// result subtree is copied.
-pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
-    // Ancestors of n selected by v = results whose subtree contains n,
-    // shallowest first.
-    let anc = ext.results_containing(n);
-    if anc.is_empty() {
-        return 0.0;
-    }
-    // Compensation pinned at n.
-    let comp_pinned = mark_output(&rw.compensation, n);
+/// `fr` of one TP-rewriting over one extension, compiled once: the
+/// compensation with a pin under its output, and the DP scratch. Every DP
+/// runs on the extension's forest at a result root (see
+/// [`ProbExtension::forest`]), and the view-only denominator comes from
+/// [`ProbExtension::denominators`]: no result subtree or pattern is
+/// copied per node.
+pub(crate) struct Fr<'a> {
+    rw: &'a TpRewriting,
+    ext: &'a ProbExtension,
+    /// `rw.compensation` with an `Id(·)` pin under its output; retargeted
+    /// per node.
+    pinned: Conjunction,
+    kernel: Kernel,
+}
 
-    if anc.len() == 1 {
-        // Theorem 1 (also sound & complete whenever the selected ancestor
-        // is unique — footnote 3).
-        let i = anc[0];
-        let r = &ext.results[i];
-        let num = pxv_peval::dp::boolean_probability_at(&ext.pdoc, r.ext_root, &comp_pinned);
-        let den = ext.denominators()[i];
+impl<'a> Fr<'a> {
+    pub(crate) fn new(rw: &'a TpRewriting, ext: &'a ProbExtension) -> Fr<'a> {
+        let marked = mark_output(&rw.compensation, ext.pdoc.root());
+        Fr {
+            rw,
+            ext,
+            pinned: Conjunction::new(std::slice::from_ref(&marked), parse_id_label),
+            kernel: Kernel::default(),
+        }
+    }
+
+    /// `Pr(n ∈ q_(k)(P̂^{n_i}_v))` inside the subtree of result `i`.
+    pub(crate) fn numerator(&mut self, i: usize, n: NodeId) -> f64 {
+        self.pinned.pin_to(n);
+        self.kernel
+            .probability(self.ext.forest(), i, &self.pinned)
+    }
+
+    /// `fr(n)`.
+    pub(crate) fn at(&mut self, n: NodeId) -> f64 {
+        let ext = self.ext;
+        // Ancestors of n selected by v = results whose subtree contains n,
+        // shallowest first.
+        let anc = ext.results_containing(n);
+        if anc.is_empty() {
+            return 0.0;
+        }
+        if anc.len() == 1 {
+            // Theorem 1 (also sound & complete whenever the selected
+            // ancestor is unique — footnote 3).
+            let i = anc[0];
+            let den = ext.denominators()[i];
+            if den <= 0.0 {
+                return 0.0;
+            }
+            return ext.results[i].prob * self.numerator(i, n) / den;
+        }
+        // General case: inclusion-exclusion over the events
+        //   e_i = [n_i ∈ v′(P) ∧ n ∈ q_(k)(P^{n_i})].
+        let a = anc.len();
+        let mut total = 0.0;
+        for mask in 1u32..(1 << a) {
+            let subset: Vec<usize> = (0..a)
+                .filter(|&b| mask & (1 << b) != 0)
+                .map(|b| anc[b])
+                .collect();
+            let sign = if subset.len() % 2 == 1 { 1.0 } else { -1.0 };
+            total += sign * self.joint_event(n, &subset);
+        }
+        total.clamp(0.0, 1.0)
+    }
+
+    /// `Pr(⋂_{i ∈ S} e_i)` for ancestors `S` ordered shallowest-first,
+    /// computed within the shallowest ancestor's result subtree (Theorem 2
+    /// proof).
+    pub(crate) fn joint_event(&mut self, n: NodeId, subset: &[usize]) -> f64 {
+        let ext = self.ext;
+        let token = ext.view.pattern.last_token();
+        let m = token.mb_len();
+        let comp_pinned = mark_output(&self.rw.compensation, n);
+        let top = subset[0];
+        let root = ext.results[top].ext_root;
+        let beta = ext.results[top].prob;
+        let den = ext.denominators()[top];
         if den <= 0.0 {
             return 0.0;
         }
-        return r.prob * num / den;
-    }
-
-    // General case: inclusion-exclusion over the events
-    //   e_i = [n_i ∈ v′(P) ∧ n ∈ q_(k)(P^{n_i})].
-    let t = ext.view.pattern.last_token();
-    let m = t.mb_len();
-    let a = anc.len();
-    let mut total = 0.0;
-    for mask in 1u32..(1 << a) {
-        let subset: Vec<usize> = (0..a)
-            .filter(|&b| mask & (1 << b) != 0)
-            .map(|b| anc[b])
-            .collect();
-        let sign = if subset.len() % 2 == 1 { 1.0 } else { -1.0 };
-        total += sign * joint_event_probability(ext, &subset, &t, m, &comp_pinned);
-    }
-    total.clamp(0.0, 1.0)
-}
-
-/// `Pr(⋂_{i ∈ S} e_i)` for ancestors `S` ordered shallowest-first, computed
-/// within the shallowest ancestor's result subtree (Theorem 2 proof).
-fn joint_event_probability(
-    ext: &ProbExtension,
-    subset: &[usize],
-    token: &TreePattern,
-    m: usize,
-    comp_pinned: &TreePattern,
-) -> f64 {
-    let top = subset[0];
-    let root = ext.results[top].ext_root;
-    let beta = ext.results[top].prob;
-    let den = ext.denominators()[top];
-    if den <= 0.0 {
-        return 0.0;
-    }
-    let root_label = ext.pdoc.label(root).expect("result roots are ordinary");
-    // Conjunction: compensation from the top ancestor, plus an α member
-    // per deeper ancestor re-testing the last token (or its visible part)
-    // at that ancestor and compensating down to n.
-    let mut patterns: Vec<TreePattern> = vec![comp_pinned.clone()];
-    for &j in &subset[1..] {
-        let orig_j = ext.results[j].orig;
-        let occ = ext.occurrences_in_result(top, orig_j);
-        if occ.is_empty() {
-            return 0.0; // n_j not in the top subtree: impossible configuration
-        }
-        let s = ext.depth_in_result(top, occ[0]);
-        let alpha_j = if s > m {
-            // Full token, somewhere strictly below the root: lm // t[Id(nj)] ⋅ comp.
-            let marked = mark_output(token, orig_j);
-            let with_comp = comp(&marked, comp_pinned);
-            descend_plan(root_label, &with_comp)
-        } else {
-            // Overlapping images: only the visible part of the lower token,
-            // anchored at the subtree root: l_{m-s+1}[..]/…/lm[Qm][Id(nj)] ⋅ comp.
-            let partial = token.suffix(m - s + 1);
-            if partial.label(partial.root()) != root_label {
-                return 0.0;
+        let root_label = ext.pdoc.label(root).expect("result roots are ordinary");
+        // Conjunction: compensation from the top ancestor, plus an α member
+        // per deeper ancestor re-testing the last token (or its visible
+        // part) at that ancestor and compensating down to n.
+        let mut patterns: Vec<TreePattern> = vec![comp_pinned.clone()];
+        for &j in &subset[1..] {
+            let orig_j = ext.results[j].orig;
+            let occ = ext.occurrences_in_result(top, orig_j);
+            if occ.is_empty() {
+                return 0.0; // n_j not in the top subtree: impossible configuration
             }
-            let marked = mark_output(&partial, orig_j);
-            comp(&marked, comp_pinned)
-        };
-        patterns.push(alpha_j);
+            let s = ext.depth_in_result(top, occ[0]);
+            let alpha_j = if s > m {
+                // Full token, somewhere strictly below the root: lm // t[Id(nj)] ⋅ comp.
+                let marked = mark_output(&token, orig_j);
+                let with_comp = comp(&marked, &comp_pinned);
+                descend_plan(root_label, &with_comp)
+            } else {
+                // Overlapping images: only the visible part of the lower
+                // token, anchored at the subtree root:
+                // l_{m-s+1}[..]/…/lm[Qm][Id(nj)] ⋅ comp.
+                let partial = token.suffix(m - s + 1);
+                if partial.label(partial.root()) != root_label {
+                    return 0.0;
+                }
+                let marked = mark_output(&partial, orig_j);
+                comp(&marked, &comp_pinned)
+            };
+            patterns.push(alpha_j);
+        }
+        let conj = Conjunction::new(&patterns, parse_id_label);
+        let joint = self.kernel.probability(ext.forest(), top, &conj);
+        beta / den * joint
     }
-    let joint = pxv_peval::dp::boolean_conjunction_probability_at(&ext.pdoc, root, &patterns);
-    beta / den * joint
 }
 
-/// Joint-event probability `Pr(⋂_{i ∈ S} e_i)` exposed for the
-/// why-provenance renderer ([`crate::explain`]). `subset` holds result
-/// indices ordered shallowest-first.
-pub fn joint_event_probability_public(
-    rw: &TpRewriting,
-    ext: &ProbExtension,
-    n: NodeId,
-    subset: &[usize],
-) -> f64 {
-    let t = ext.view.pattern.last_token();
-    let m = t.mb_len();
-    let comp_pinned = mark_output(&rw.compensation, n);
-    joint_event_probability(ext, subset, &t, m, &comp_pinned)
+/// `fr(n)` for an accepted TP-rewriting: `Pr(n ∈ q(P))` computed from the
+/// view extension alone. Compiles the rewriting per call (O(|q|));
+/// [`answer_tp`] compiles it once for all candidates.
+pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
+    Fr::new(rw, ext).at(n)
 }
 
 /// Evaluates the whole plan: every original node retrievable from the
 /// extension with its probability (sorted by node id). This is the
 /// evaluation of `(qr, fr)` touching only `D^P̂_V = {P̂_v}`.
 pub fn answer_tp(rw: &TpRewriting, ext: &ProbExtension) -> Vec<(NodeId, f64)> {
+    let mut fr = Fr::new(rw, ext);
     ext.candidates(&rw.compensation)
         .into_iter()
-        .map(|n| (n, fr_tp(rw, ext, n)))
+        .map(|n| (n, fr.at(n)))
         .filter(|&(_, p)| p > 0.0)
         .collect()
 }

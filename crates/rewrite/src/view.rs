@@ -14,8 +14,10 @@
 //! edge probabilities and (ii) probabilities computed *within a single
 //! result subtree*, exactly as the paper's `fr` constructions do.
 
+use pxv_peval::dp::{Conjunction, Kernel};
+use pxv_pxml::forest::{Forest, Shape};
 use pxv_pxml::{Document, Edit, EditEffect, Label, NodeId, PDocument, PKind};
-use pxv_tpq::embed::{Embedder, Skeleton};
+use pxv_tpq::embed::Embedder;
 use pxv_tpq::pattern::{Axis, TreePattern};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
@@ -146,12 +148,16 @@ pub struct ProbExtension {
     /// constructor starts it empty, so an edited or restored extension
     /// cannot inherit stale values.
     denominators: OnceLock<Vec<f64>>,
-    /// Every result's maximal world in preorder columns, one tree per
-    /// result, ids holding original nodes — the layout
-    /// [`ProbExtension::candidates`] embeds on. Filled on first use, never
-    /// serialized, started empty by every constructor like
-    /// `denominators`.
-    skeleton: OnceLock<Skeleton>,
+    /// Every result subtree in preorder columns, one tree per result:
+    /// its distributional nodes and its ordinary nodes minus the `Id(·)`
+    /// markers, ordinary slots holding original ids — the one layout that
+    /// [`ProbExtension::candidates`] embeds on and every `fr` DP runs on.
+    /// Filled on first use, never serialized, started empty by every
+    /// constructor like `denominators`.
+    forest: OnceLock<Forest>,
+    /// What `forest` holds, counted when the extension is assembled, so
+    /// its charge is known before it is filled.
+    forest_shape: Shape,
 }
 
 impl ProbExtension {
@@ -301,7 +307,8 @@ impl ProbExtension {
                 orig_of: self.orig_of.clone(),
                 by_orig: self.by_orig.clone(),
                 denominators: OnceLock::new(),
-                skeleton: OnceLock::new(),
+                forest: OnceLock::new(),
+                forest_shape: self.forest_shape,
             },
             DeltaOutcome::Incremental { reused, recomputed },
         )
@@ -310,7 +317,7 @@ impl ProbExtension {
     /// Assembles the extension from its finished parts, deriving the
     /// reverse occurrence index (each original node occurs at most once
     /// per result subtree — the copy duplicates an original subtree once
-    /// per containing result).
+    /// per containing result) and the forest's shape.
     fn assemble(
         view: View,
         pdoc: PDocument,
@@ -319,7 +326,9 @@ impl ProbExtension {
     ) -> ProbExtension {
         let mut by_orig: HashMap<NodeId, Vec<(usize, NodeId)>> =
             HashMap::with_capacity(orig_of.len());
+        let mut forest_shape = Shape::default();
         for (i, r) in results.iter().enumerate() {
+            forest_shape.add_pdocument(&pdoc, r.ext_root, |n| orig_of.contains_key(&n));
             let mut stack = vec![r.ext_root];
             while let Some(n) = stack.pop() {
                 if let Some(&orig) = orig_of.get(&n) {
@@ -335,7 +344,8 @@ impl ProbExtension {
             orig_of,
             by_orig,
             denominators: OnceLock::new(),
-            skeleton: OnceLock::new(),
+            forest: OnceLock::new(),
+            forest_shape,
         }
     }
 
@@ -384,7 +394,7 @@ impl ProbExtension {
 
     /// Deterministic estimate of this extension's heap footprint in
     /// bytes: the extension p-document, the result list, the denominator
-    /// and skeleton memos, and both original-id indexes. Like
+    /// and forest memos, and both original-id indexes. Like
     /// `PDocument::heap_bytes` it counts logical lengths rather than
     /// allocator capacities, so a restored (bit-identical) extension
     /// reports exactly the bytes the original did — the figure a
@@ -396,10 +406,7 @@ impl ProbExtension {
         let mut bytes = size_of::<ProbExtension>() + self.pdoc.heap_bytes();
         bytes += self.results.len() * (size_of::<ViewResult>() + size_of::<f64>());
         bytes += self.orig_of.len() * (2 * size_of::<NodeId>() + 1);
-        // Skeleton: one slot (id, label, parent) per marked node, one
-        // start per result.
-        bytes += self.orig_of.len() * (size_of::<NodeId>() + size_of::<Label>() + size_of::<u32>());
-        bytes += self.results.len() * size_of::<usize>();
+        bytes += self.forest_shape.bytes();
         for occurrences in self.by_orig.values() {
             bytes += size_of::<NodeId>() + 1 + occurrences.len() * size_of::<(usize, NodeId)>();
         }
@@ -426,44 +433,43 @@ impl ProbExtension {
     pub fn denominators(&self) -> &[f64] {
         self.denominators.get_or_init(|| {
             let v = &self.view.pattern;
-            let v_out_preds = v.suffix(v.mb_len());
-            self.results
-                .iter()
-                .map(|r| {
-                    pxv_peval::dp::boolean_probability_at(&self.pdoc, r.ext_root, &v_out_preds)
-                })
+            let conj = Conjunction::new(std::slice::from_ref(&v.suffix(v.mb_len())), |_| None);
+            let mut kernel = Kernel::default();
+            (0..self.results.len())
+                .map(|i| kernel.probability(self.forest(), i, &conj))
                 .collect()
         })
     }
 
-    /// Every result subtree's maximal world — its ordinary nodes minus
-    /// the `Id(·)` markers, each under its closest such ancestor — as one
-    /// tree of a contiguous column layout whose ids are the original
-    /// nodes. It depends on the extension alone, so it is laid out once,
-    /// on first use. Leaving the markers out is exact because planning
-    /// rejects queries that spell a marker label (see
-    /// [`crate::answer::plan_checked`]): no compensation can match one.
-    fn skeleton(&self) -> &Skeleton {
-        self.skeleton.get_or_init(|| {
-            let mut sk = Skeleton::default();
+    /// Every result subtree, tree `i` for result `i`, in the column layout
+    /// the embedding and DP kernels run on: distributional nodes kept,
+    /// `Id(·)` markers left out (an `fr` pin on a node stands in for its
+    /// marker), ordinary slots holding original ids. It depends on the
+    /// extension alone, so it is laid out once, on first use. Leaving the
+    /// markers out is exact because planning rejects queries that spell a
+    /// marker label (see [`crate::answer::plan_checked`]): no compensation
+    /// can match one.
+    pub fn forest(&self) -> &Forest {
+        self.forest.get_or_init(|| {
+            let mut forest = Forest::default();
             for r in &self.results {
-                sk.push_pdocument(&self.pdoc, r.ext_root, |n| self.original_of(n));
+                forest.push_pdocument(&self.pdoc, r.ext_root, |n| self.original_of(n));
             }
-            sk
+            forest
         })
     }
 
     /// Original nodes a compensation selects inside some result subtree
     /// of the maximal world — every node `fr` can give a positive
     /// probability (TP matching is monotone). Embeds on the extension's
-    /// skeleton memo with one [`Embedder`] for all results; no subtree or
-    /// world document is built.
+    /// forest with one [`Embedder`] for all results; no subtree or world
+    /// document is built.
     pub fn candidates(&self, compensation: &TreePattern) -> BTreeSet<NodeId> {
-        let sk = self.skeleton();
+        let forest = self.forest();
         let mut embedder = Embedder::new(compensation);
         let mut out = BTreeSet::new();
         for t in 0..self.results.len() {
-            embedder.eval(sk, t, |orig| {
+            embedder.eval(forest, t, |orig| {
                 out.insert(orig);
             });
         }
@@ -908,13 +914,15 @@ mod tests {
         let d1: Vec<u64> = a.denominators().iter().map(|d| d.to_bits()).collect();
         let d2: Vec<u64> = b.denominators().iter().map(|d| d.to_bits()).collect();
         assert_eq!(d1, d2, "{what}: bit-identical denominators");
-        assert_eq!(a.skeleton(), b.skeleton(), "{what}: skeleton columns");
+        assert_eq!(a.forest(), b.forest(), "{what}: forest columns");
+        assert_eq!(a.forest_shape, b.forest_shape, "{what}: forest shape");
     }
 
-    /// The denominator and skeleton memos are charged up front: filling
+    /// The denominator and forest memos are charged up front: filling
     /// them by answering a query leaves `heap_bytes` unchanged, and the
     /// figure equals that of the same extension rebuilt from its columns
-    /// (a snapshot restore, which starts with empty memos).
+    /// (a snapshot restore, which starts with empty memos) and of a
+    /// reweighed one (same structure, new probabilities).
     #[test]
     fn denominator_memo_keeps_heap_bytes_deterministic() {
         let pper = fig2_pper();
@@ -926,11 +934,12 @@ mod tests {
             .into_iter()
             .next()
             .expect("qBON has a TP plan over v2BON");
-        assert!(ext.skeleton.get().is_none() && ext.denominators.get().is_none());
+        assert!(ext.forest.get().is_none() && ext.denominators.get().is_none());
         assert!(!crate::fr_tp::answer_tp(&rw, &ext).is_empty());
-        assert!(ext.skeleton.get().is_some(), "answering fills the skeleton");
+        assert!(ext.forest.get().is_some(), "answering fills the forest");
         assert_eq!(ext.denominators().len(), ext.results.len());
-        assert_eq!(ext.skeleton().len(), ext.orig_entries().count());
+        assert_eq!(ext.forest().shape(), ext.forest_shape);
+        assert!(ext.forest().len() > ext.orig_entries().count(), "distributional slots");
         assert_eq!(ext.heap_bytes(), before, "filling the memos is free");
         let roots: Vec<NodeId> = ext.results.iter().map(|r| r.ext_root).collect();
         let origs: Vec<NodeId> = ext.results.iter().map(|r| r.orig).collect();
@@ -946,6 +955,20 @@ mod tests {
         .expect("valid columns");
         assert_eq!(rebuilt.heap_bytes(), before);
         assert_ext_identical(&rebuilt, &ext, "from_columns");
+        // A positive→positive reweigh keeps every structure: same charge,
+        // filled or not.
+        let mut after = pper.clone();
+        let edit = Edit::SetProb {
+            node: NodeId(24),
+            prob: 0.5,
+        };
+        let effect = after.apply_edit(&edit).unwrap();
+        let (reweighed, _) = ext.apply_delta(&after, &edit, &effect);
+        assert!(reweighed.forest.get().is_none());
+        assert_eq!(reweighed.heap_bytes(), before);
+        reweighed.denominators();
+        assert_eq!(reweighed.heap_bytes(), before);
+        assert_ext_identical(&reweighed, &ProbExtension::materialize(&after, &view), "reweigh");
     }
 
     /// Every edit kind, applied to the personnel scenario: the

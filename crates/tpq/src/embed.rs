@@ -8,121 +8,22 @@
 //! patterns of up to 64 nodes.
 //!
 //! There is one kernel, [`Embedder`], and it runs over one layout,
-//! [`Skeleton`]: trees in preorder columns. A [`Document`] is laid into
-//! those columns per call; the maximal world of a p-document (its
-//! ordinary nodes, each under its closest ordinary ancestor) is laid out
-//! directly, with no `Document` built — which is how view extensions keep
-//! a query-independent skeleton to embed candidates on.
+//! [`Forest`]: trees in preorder columns. A [`Document`] is laid into
+//! those columns per call. A p-document's columns keep its distributional
+//! slots, which the kernel reads through: each ordinary slot's children in
+//! the maximal world (the ordinary nodes, each under its closest ordinary
+//! ancestor) are reached across them, so candidates are found on the
+//! maximal world without building it.
 
 use crate::pattern::{Axis, QNodeId, TreePattern};
-use pxv_pxml::{Document, Label, NodeId, PDocument};
+use pxv_pxml::forest::{Forest, Slot, NO_PARENT};
+use pxv_pxml::{Document, Label, NodeId};
 
-/// Per-query-node bit. Patterns are limited to 64 nodes (far beyond any
-/// pattern in the paper; evaluation over p-documents is exponential in
-/// query size anyway).
+/// Per-query-node bit. Patterns are limited to 64 nodes (parsing and
+/// serving stop at `pattern::MAX_PATTERN_NODES`, one fewer).
 fn bit(x: QNodeId) -> u64 {
     assert!(x.0 < 64, "tree pattern too large for bitmask evaluation");
     1u64 << x.0
-}
-
-/// `parent` entry of a tree's root slot.
-const NO_PARENT: u32 = u32::MAX;
-
-/// Trees laid out in preorder columns, one contiguous slot range per tree:
-/// every node comes after its parent, and its subtree occupies the slots
-/// right behind it. Only the `push_*` builders add trees, which keeps
-/// every parent slot inside its tree.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Skeleton {
-    /// Node id per slot.
-    id: Vec<NodeId>,
-    /// Node label per slot.
-    label: Vec<Label>,
-    /// Parent slot, relative to the start of the node's tree; `NO_PARENT`
-    /// at the tree root.
-    parent: Vec<u32>,
-    /// First slot of each tree.
-    starts: Vec<usize>,
-}
-
-impl Skeleton {
-    /// `d` as a single tree.
-    pub fn of_document(d: &Document) -> Skeleton {
-        let mut sk = Skeleton::default();
-        sk.push_document(d);
-        sk
-    }
-
-    /// The maximal world of `pdoc` (every ordinary node) as a single tree.
-    pub fn of_pdocument(pdoc: &PDocument) -> Skeleton {
-        let mut sk = Skeleton::default();
-        sk.push_pdocument(pdoc, pdoc.root(), Some);
-        sk
-    }
-
-    /// Appends `d` as a new tree.
-    fn push_document(&mut self, d: &Document) {
-        self.starts.push(self.id.len());
-        let mut stack = vec![(d.root(), NO_PARENT)];
-        while let Some((n, parent)) = stack.pop() {
-            let slot = self.push_node(n, d.label(n), parent);
-            stack.extend(d.children(n).iter().map(|&c| (c, slot)));
-        }
-    }
-
-    /// Appends the maximal world of the p-subdocument `P̂_root` as a new
-    /// tree: the ordinary nodes `id_of` maps to an id, each under its
-    /// closest such ancestor, stored under that id. Other nodes are
-    /// skipped but their descendants are kept. `root` must be kept.
-    pub fn push_pdocument(
-        &mut self,
-        pdoc: &PDocument,
-        root: NodeId,
-        id_of: impl Fn(NodeId) -> Option<NodeId>,
-    ) {
-        self.starts.push(self.id.len());
-        let mut stack = vec![(root, NO_PARENT)];
-        while let Some((n, parent)) = stack.pop() {
-            let below = match (pdoc.label(n), id_of(n)) {
-                (Some(label), Some(id)) => self.push_node(id, label, parent),
-                _ => parent,
-            };
-            stack.extend(pdoc.children(n).iter().map(|&c| (c, below)));
-        }
-    }
-
-    /// Appends one node to the last tree; returns its tree-relative slot.
-    fn push_node(&mut self, id: NodeId, label: Label, parent: u32) -> u32 {
-        let start = self.starts.last().copied().unwrap_or(0);
-        self.id.push(id);
-        self.label.push(label);
-        self.parent.push(parent);
-        // A tree holds at most one slot per `u32` node id.
-        (self.id.len() - 1 - start) as u32
-    }
-
-    /// Number of slots over all trees.
-    pub fn len(&self) -> usize {
-        self.id.len()
-    }
-
-    /// Whether no tree has a node.
-    pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
-    }
-
-    /// Id, label and parent slot (absolute; `None` at a tree root) of
-    /// slot `i`.
-    pub fn node(&self, i: usize) -> (NodeId, Label, Option<usize>) {
-        let start = self.starts[self.starts.partition_point(|&s| s <= i) - 1];
-        let parent = (self.parent[i] != NO_PARENT).then(|| start + self.parent[i] as usize);
-        (self.id[i], self.label[i], parent)
-    }
-
-    /// The slot range of tree `t`.
-    fn range(&self, t: usize) -> std::ops::Range<usize> {
-        self.starts[t]..self.starts.get(t + 1).copied().unwrap_or(self.id.len())
-    }
 }
 
 /// The embedding kernel for one pattern: its per-node labels and `/`- and
@@ -173,58 +74,70 @@ impl Embedder {
         }
     }
 
-    /// Bottom-up pass over tree `t` (reverse preorder): fills `at`.
-    fn bottom_up(&mut self, sk: &Skeleton, t: usize) {
-        let range = sk.range(t);
-        let (labels, parents) = (&sk.label[range.clone()], &sk.parent[range]);
-        let len = labels.len();
+    /// Bottom-up pass over tree `t` (reverse preorder): fills `at`. A
+    /// distributional slot matches nothing and hands its children's
+    /// masks up as they are.
+    fn bottom_up(&mut self, forest: &Forest, t: usize) {
+        let tree = forest.tree(t);
+        let len = tree.len();
         for col in [&mut self.at, &mut self.down, &mut self.pending] {
             col.clear();
             col.resize(len, 0);
         }
         for v in (0..len).rev() {
             let (child_at, below) = (self.down[v], self.pending[v]);
-            let mut mask = 0u64;
-            for (x, &l) in self.qlabel.iter().enumerate() {
-                if l == labels[v]
-                    && self.child_req[x] & !child_at == 0
-                    && self.desc_req[x] & !below == 0
-                {
-                    mask |= 1 << x;
+            let (up_child, up_below) = if tree.kind[v] == Slot::Ordinary {
+                let mut mask = 0u64;
+                for (x, &l) in self.qlabel.iter().enumerate() {
+                    if l == tree.label[v]
+                        && self.child_req[x] & !child_at == 0
+                        && self.desc_req[x] & !below == 0
+                    {
+                        mask |= 1 << x;
+                    }
                 }
-            }
-            self.at[v] = mask;
-            let p = parents[v];
+                self.at[v] = mask;
+                (mask, mask | below)
+            } else {
+                (child_at, below)
+            };
+            let p = tree.parent[v];
             if p != NO_PARENT {
-                self.down[p as usize] |= mask;
-                self.pending[p as usize] |= mask | below;
+                self.down[p as usize] |= up_child;
+                self.pending[p as usize] |= up_below;
             }
         }
     }
 
     /// True iff `q` embeds into tree `t` (root to root).
-    pub fn matches(&mut self, sk: &Skeleton, t: usize) -> bool {
-        self.bottom_up(sk, t);
+    pub fn matches(&mut self, forest: &Forest, t: usize) -> bool {
+        self.bottom_up(forest, t);
         self.at.first().is_some_and(|&a| a & self.root_bit != 0)
     }
 
     /// Calls `emit` with the id of every node of tree `t` that is the
     /// output image of some embedding of `q`, each once, in slot order.
-    pub fn eval(&mut self, sk: &Skeleton, t: usize, mut emit: impl FnMut(NodeId)) {
-        if !self.matches(sk, t) {
+    pub fn eval(&mut self, forest: &Forest, t: usize, mut emit: impl FnMut(NodeId)) {
+        if !self.matches(forest, t) {
             return;
         }
-        let range = sk.range(t);
-        let (ids, parents) = (&sk.id[range.clone()], &sk.parent[range]);
+        let tree = forest.tree(t);
         // Top-down (preorder): the query nodes a slot takes in a full
         // embedding are those its parent hands down that also match at it.
-        for v in 0..ids.len() {
-            let (active, inherited) = match parents[v] {
+        // A distributional slot hands down what it was handed.
+        for v in 0..tree.len() {
+            let p = tree.parent[v];
+            if tree.kind[v] != Slot::Ordinary {
+                self.down[v] = self.down[p as usize];
+                self.pending[v] = self.pending[p as usize];
+                continue;
+            }
+            let (active, inherited) = match p {
                 NO_PARENT => (self.root_bit & self.at[v], 0),
                 p => (self.down[p as usize] & self.at[v], self.pending[p as usize]),
             };
             if active & self.out_bit != 0 {
-                emit(ids[v]);
+                emit(tree.id[v]);
             }
             let (mut want_child, mut want_desc) = (0u64, 0u64);
             let mut a = active;
@@ -242,14 +155,14 @@ impl Embedder {
 
 /// True iff there is an embedding of `q` into `d` (root to root).
 pub fn matches(q: &TreePattern, d: &Document) -> bool {
-    Embedder::new(q).matches(&Skeleton::of_document(d), 0)
+    Embedder::new(q).matches(&Forest::of_document(d), 0)
 }
 
 /// Evaluates `q(d)`: the sorted set of output-node images over all
 /// embeddings.
 pub fn eval(q: &TreePattern, d: &Document) -> Vec<NodeId> {
     let mut answers = Vec::new();
-    Embedder::new(q).eval(&Skeleton::of_document(d), 0, |n| answers.push(n));
+    Embedder::new(q).eval(&Forest::of_document(d), 0, |n| answers.push(n));
     answers.sort_unstable();
     answers
 }
@@ -315,7 +228,7 @@ mod tests {
         }
     }
 
-    /// One embedder serves several trees of a skeleton in turn; each tree
+    /// One embedder serves several trees of a forest in turn; each tree
     /// is evaluated on its own, exactly as if laid out alone.
     #[test]
     fn embedder_scratch_is_reused_across_trees() {
@@ -324,42 +237,46 @@ mod tests {
             parse_document("a#10[x#11[b#12[c#13]]]").unwrap(),
             parse_document("b#20[c#21]").unwrap(),
         ];
-        let mut sk = Skeleton::default();
+        let mut forest = Forest::default();
         for d in &docs {
-            sk.push_document(d);
+            forest.push_document(d);
         }
         let pat = q("a//b[c]");
         let mut embedder = Embedder::new(&pat);
         for (t, d) in docs.iter().enumerate() {
             let mut got = Vec::new();
-            embedder.eval(&sk, t, |n| got.push(n));
+            embedder.eval(&forest, t, |n| got.push(n));
             got.sort_unstable();
             assert_eq!(got, eval(&pat, d), "tree {t}");
         }
     }
 
-    /// The maximal-world layout of a p-document keeps every ordinary node
-    /// under its closest ordinary ancestor, skipping distributional ones.
+    /// A p-document's columns are read as its maximal world: every
+    /// ordinary node under its closest ordinary ancestor, through
+    /// distributional slots at any depth.
     #[test]
-    fn pdocument_skeleton_is_the_maximal_world() {
-        let p =
-            pxv_pxml::text::parse_pdocument("a#0[mux#1(0.5: b#2[c#3]), ind#4(0.1: d#5)]").unwrap();
-        let sk = Skeleton::of_pdocument(&p);
-        let parent_of = |sk: &Skeleton, n: u32| {
-            let slot = (0..sk.len()).find(|&i| sk.node(i).0 == NodeId(n)).unwrap();
-            sk.node(slot).2.map(|p| sk.node(p).0)
+    fn pdocument_columns_embed_as_the_maximal_world() {
+        let p = pxv_pxml::text::parse_pdocument(
+            "a#0[mux#1(0.5: b#2[c#3], 0.5: ind#6(0.1: b#7[det#8(c#9)])), ind#4(0.1: d#5)]",
+        )
+        .unwrap();
+        let forest = Forest::of_pdocument(&p, NodeId(0));
+        let run = |s: &str| {
+            let mut got = Vec::new();
+            Embedder::new(&q(s)).eval(&forest, 0, |n| got.push(n));
+            got.sort_unstable();
+            got
         };
-        let mut ids: Vec<NodeId> = (0..sk.len()).map(|i| sk.node(i).0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![NodeId(0), NodeId(2), NodeId(3), NodeId(5)]);
-        assert_eq!(parent_of(&sk, 0), None);
-        assert_eq!(parent_of(&sk, 5), Some(NodeId(0)));
-        assert_eq!(parent_of(&sk, 3), Some(NodeId(2)));
-        // A kept-set filter drops nodes but keeps their descendants.
-        let mut only = Skeleton::default();
+        assert_eq!(run("a/b"), vec![NodeId(2), NodeId(7)]);
+        assert_eq!(run("a/b/c"), vec![NodeId(3), NodeId(9)]);
+        assert_eq!(run("a/d"), vec![NodeId(5)]);
+        assert_eq!(run("a[d]/b[c]"), vec![NodeId(2), NodeId(7)]);
+        assert!(run("a/c").is_empty());
+        assert_eq!(run("a//c"), vec![NodeId(3), NodeId(9)]);
+        // A kept-set filter drops ordinary nodes but keeps their
+        // descendants.
+        let mut only = Forest::default();
         only.push_pdocument(&p, NodeId(0), |n| (n != NodeId(2)).then_some(n));
-        assert_eq!(parent_of(&only, 3), Some(NodeId(0)));
-        assert_eq!(only.len(), 3);
         let mut got = Vec::new();
         Embedder::new(&q("a/c")).eval(&only, 0, |n| got.push(n));
         assert_eq!(got, vec![NodeId(3)]);

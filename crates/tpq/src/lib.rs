@@ -23,7 +23,7 @@ pub use compose::comp;
 pub use containment::{contained_in, equivalent, minimize};
 pub use intersect::TpIntersection;
 pub use parse::parse_pattern;
-pub use pattern::{Axis, QNodeId, TreePattern};
+pub use pattern::{Axis, QNodeId, TreePattern, MAX_PATTERN_NODES};
 // Node labels are interned symbols shared with `pxv-pxml`: pattern
 // matching and embedding compare `u32` handles, never strings.
 pub use pxv_pxml::{Label, Symbol};

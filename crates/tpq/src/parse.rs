@@ -16,7 +16,7 @@
 //! `IT-personnel//person[name/Rick]/bonus[laptop]` (qRBON),
 //! `a[.//c]/b` (Example 11's view).
 
-use crate::pattern::{Axis, QNodeId, TreePattern};
+use crate::pattern::{Axis, QNodeId, TreePattern, MAX_PATTERN_NODES};
 use pxv_pxml::Symbol as Label;
 use std::fmt;
 
@@ -27,6 +27,17 @@ pub struct PatternParseError {
     pub at: usize,
     /// Message.
     pub msg: String,
+    /// What went wrong.
+    pub kind: PatternErrorKind,
+}
+
+/// The class of a [`PatternParseError`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PatternErrorKind {
+    /// The input is not a pattern.
+    Syntax,
+    /// The pattern has more than [`MAX_PATTERN_NODES`] nodes.
+    TooManyNodes,
 }
 
 impl fmt::Display for PatternParseError {
@@ -60,7 +71,27 @@ impl<'a> Cursor<'a> {
         Err(PatternParseError {
             at: self.pos,
             msg: msg.into(),
+            kind: PatternErrorKind::Syntax,
         })
+    }
+
+    /// Adds a node below `parent`, refusing the one past
+    /// [`MAX_PATTERN_NODES`] (reported at the end of its label).
+    fn add(
+        &self,
+        q: &mut TreePattern,
+        parent: QNodeId,
+        axis: Axis,
+        label: Label,
+    ) -> Result<QNodeId, PatternParseError> {
+        if q.len() >= MAX_PATTERN_NODES {
+            return Err(PatternParseError {
+                at: self.pos,
+                msg: format!("pattern has more than {MAX_PATTERN_NODES} nodes"),
+                kind: PatternErrorKind::TooManyNodes,
+            });
+        }
+        Ok(q.add_child(parent, axis, label))
     }
 
     fn skip_ws(&mut self) {
@@ -110,6 +141,7 @@ impl<'a> Cursor<'a> {
                 std::str::from_utf8(&self.src[start..self.pos]).map_err(|_| PatternParseError {
                     at: start,
                     msg: "invalid utf-8".into(),
+                    kind: PatternErrorKind::Syntax,
                 })?;
             self.pos += 1;
             return Ok(Label::new(s));
@@ -157,7 +189,7 @@ pub fn parse_pattern(input: &str) -> Result<TreePattern, PatternParseError> {
             None => break,
             Some(axis) => {
                 let label = c.label()?;
-                cur = q.add_child(cur, axis, label);
+                cur = c.add(&mut q, cur, axis, label)?;
                 parse_step_tail(&mut c, &mut q, cur)?;
             }
         }
@@ -180,12 +212,12 @@ fn parse_step_tail(
         let _ = c.eat(b'.');
         let first_axis = c.axis().unwrap_or(Axis::Child);
         let label = c.label()?;
-        let mut cur = q.add_child(node, first_axis, label);
+        let mut cur = c.add(q, node, first_axis, label)?;
         parse_step_tail(c, q, cur)?;
         // Continuation path inside the predicate: [name/Rick], [x//y[z]].
         while let Some(axis) = c.axis() {
             let label = c.label()?;
-            cur = q.add_child(cur, axis, label);
+            cur = c.add(q, cur, axis, label)?;
             parse_step_tail(c, q, cur)?;
         }
         if !c.eat(b']') {
@@ -254,6 +286,31 @@ mod tests {
         assert!(parse_pattern("a]b").is_err());
         assert!(parse_pattern("a/[b]").is_err());
         assert!(parse_pattern("a//").is_err());
+    }
+
+    /// `a` plus `n − 1` predicates `[b]`: an `n`-node pattern.
+    fn wide(n: usize) -> String {
+        format!("a{}", "[b]".repeat(n - 1))
+    }
+
+    #[test]
+    fn patterns_wider_than_the_state_are_refused() {
+        assert_eq!(parse_pattern(&wide(MAX_PATTERN_NODES)).unwrap().len(), 63);
+        for n in [64, 70] {
+            let err = parse_pattern(&wide(n)).expect_err("too wide");
+            assert_eq!(err.kind, PatternErrorKind::TooManyNodes, "{n}");
+            assert!(err.msg.contains("63"), "{}", err.msg);
+        }
+        // Along the main branch too.
+        let long = format!("a{}", "/b".repeat(63));
+        assert_eq!(
+            parse_pattern(&long).unwrap_err().kind,
+            PatternErrorKind::TooManyNodes
+        );
+        assert_eq!(
+            parse_pattern("a[").unwrap_err().kind,
+            PatternErrorKind::Syntax
+        );
     }
 
     #[test]

@@ -11,6 +11,11 @@
 use pxv_pxml::Label;
 use std::fmt;
 
+/// The most nodes a parsed or served pattern may have. The probability DP
+/// keeps two event bits per query node in a 128-bit state — 64 nodes —
+/// and pinning an answer to a target node takes one of them.
+pub const MAX_PATTERN_NODES: usize = 63;
+
 /// Identifier of a query node within one [`TreePattern`] (arena index).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct QNodeId(pub u32);
