@@ -43,6 +43,7 @@ use crate::table::{Dist, State, Table};
 use pxv_pxml::forest::{Forest, Slot, Tree, NO_PARENT};
 use pxv_pxml::{Document, Label, NodeId, PDocument};
 use pxv_tpq::pattern::{Axis, TreePattern};
+use std::ops::Range;
 
 /// Where a slot's pin child sits among its children.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,20 +55,26 @@ enum PinSite {
     Last,
 }
 
+/// `target` of a query node that is not a pin.
+const NOT_PIN: NodeId = NodeId(u32::MAX);
+
+/// One compiled query node.
+#[derive(Clone, Copy, Debug)]
+struct QNode {
+    /// The `A` bit of each `/`-child and the `B` bit of each `//`-child:
+    /// what a slot's children must provide for the node to embed there.
+    req: State,
+    /// Label the node matches (never compared for a pin).
+    label: Label,
+    /// The node a pin sits on; `NOT_PIN` for a node matching by label.
+    target: NodeId,
+}
+
 /// A conjunction of Boolean patterns compiled for the [`Kernel`], with
 /// global query-node indices `offset(pattern) + node`.
 #[derive(Clone, Debug)]
 pub struct Conjunction {
-    /// Label of each query node (never compared for a pin).
-    label: Vec<Label>,
-    /// Per query node: the `A` bit of each `/`-child and the `B` bit of
-    /// each `//`-child — what a slot's children must provide for the node
-    /// to embed there.
-    req: Vec<State>,
-    /// Bit `g` set ⇔ query node `g` matches by label (is not a pin).
-    matchable: u64,
-    /// Pin targets with the `A|B` bits of the pin nodes on each.
-    pins: Vec<(NodeId, State)>,
+    nodes: Vec<QNode>,
     site: PinSite,
     /// `A` bits of the pattern roots.
     need: State,
@@ -86,10 +93,7 @@ fn b_bit(g: usize) -> State {
 impl Conjunction {
     fn empty(site: PinSite) -> Conjunction {
         Conjunction {
-            label: Vec::new(),
-            req: Vec::new(),
-            matchable: 0,
-            pins: Vec::new(),
+            nodes: Vec::new(),
             site,
             need: 0,
             b_all: 0,
@@ -104,9 +108,10 @@ impl Conjunction {
         for q in patterns {
             let offset = c.add(q);
             for x in q.node_ids() {
-                let target = pin_of(q.label(x)).filter(|_| q.children(x).is_empty());
-                if let Some(t) = target {
-                    c.pin(t, offset + x.0 as usize);
+                if q.children(x).is_empty() {
+                    if let Some(t) = pin_of(q.label(x)) {
+                        c.nodes[offset + x.0 as usize].target = t;
+                    }
                 }
             }
         }
@@ -118,25 +123,36 @@ impl Conjunction {
     /// same target share the target's one pin child.
     pub fn pinned(specs: &[(&TreePattern, NodeId)]) -> Conjunction {
         let mut c = Conjunction::empty(PinSite::Last);
-        for &(q, t) in specs {
+        for &(q, target) in specs {
             let offset = c.add(q);
             c.reserve(1);
-            let g = c.label.len();
-            c.label.push(q.output_label());
-            c.req.push(0);
+            let g = c.nodes.len();
+            c.nodes.push(QNode {
+                req: 0,
+                label: q.output_label(),
+                target,
+            });
             c.b_all |= b_bit(g);
-            c.req[offset + q.output().0 as usize] |= a_bit(g);
-            c.pin(t, g);
+            c.nodes[offset + q.output().0 as usize].req |= a_bit(g);
         }
         c
     }
 
-    /// Appends `q`'s nodes as matchable; returns its offset.
+    /// `q` with a pin `/`-child under its output on `n`, sitting before the
+    /// node's children: what [`Conjunction::new`] compiles from `q` with
+    /// an extension's `Id(n)` marker label under its output, without
+    /// copying `q`.
+    pub fn marked(q: &TreePattern, n: NodeId) -> Conjunction {
+        let mut c = Conjunction::pinned(&[(q, n)]);
+        c.site = PinSite::First;
+        c
+    }
+
+    /// Appends `q`'s nodes, matching by label; returns its offset.
     fn add(&mut self, q: &TreePattern) -> usize {
-        let offset = self.label.len();
+        let offset = self.nodes.len();
         self.reserve(q.len());
         for x in q.node_ids() {
-            let g = offset + x.0 as usize;
             let mut req = 0;
             for &y in q.children(x) {
                 let gy = offset + y.0 as usize;
@@ -145,57 +161,47 @@ impl Conjunction {
                     Axis::Descendant => b_bit(gy),
                 };
             }
-            self.label.push(q.label(x));
-            self.req.push(req);
-            self.b_all |= b_bit(g);
-            self.matchable |= 1 << g;
+            self.b_all |= b_bit(offset + x.0 as usize);
+            self.nodes.push(QNode {
+                req,
+                label: q.label(x),
+                target: NOT_PIN,
+            });
         }
         self.need |= a_bit(offset + q.root().0 as usize);
         offset
     }
 
-    /// Makes query node `g` a pin on `target`.
-    fn pin(&mut self, target: NodeId, g: usize) {
-        self.matchable &= !(1 << g);
-        let bits = a_bit(g) | b_bit(g);
-        match self.pins.iter_mut().find(|p| p.0 == target) {
-            Some(p) => p.1 |= bits,
-            None => self.pins.push((target, bits)),
-        }
-    }
-
     /// Checks that `more` query nodes still fit the state.
     fn reserve(&self, more: usize) {
-        let total = self.label.len() + more;
+        let total = self.nodes.len() + more;
         assert!(
             total <= 64,
             "conjunction too large for the 128-bit state encoding ({total} query nodes)"
         );
     }
 
-    /// Moves the conjunction's one pin target to `n`.
+    /// Moves the pins of a conjunction with one pin target to `n`.
     pub fn pin_to(&mut self, n: NodeId) {
-        assert_eq!(self.pins.len(), 1, "exactly one pin target");
-        self.pins[0].0 = n;
+        for node in self.nodes.iter_mut().filter(|x| x.target != NOT_PIN) {
+            node.target = n;
+        }
     }
 
-    /// `A|B` bits of the pins on node `n`.
-    fn pin_bits(&self, n: NodeId) -> State {
-        self.pins.iter().find(|p| p.0 == n).map_or(0, |p| p.1)
-    }
-
-    /// Query nodes matching at an ordinary slot labeled `label`.
-    fn here(&self, label: Label) -> u64 {
-        let mut here = 0u64;
-        let mut m = self.matchable;
-        while m != 0 {
-            let g = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.label[g] == label {
-                here |= 1 << g;
+    /// At an ordinary slot labeled `label` holding node `id`: the query
+    /// nodes matching its label, and the `A|B` bits of the pins on it.
+    fn at_slot(&self, label: Label, id: NodeId) -> (u64, State) {
+        let (mut here, mut pin) = (0u64, 0);
+        for (g, x) in self.nodes.iter().enumerate() {
+            if x.target == NOT_PIN {
+                if x.label == label {
+                    here |= 1 << g;
+                }
+            } else if x.target == id {
+                pin |= a_bit(g) | b_bit(g);
             }
         }
-        here
+        (here, pin)
     }
 
     /// The state an ordinary slot passes up when its children's joint
@@ -206,7 +212,8 @@ impl Conjunction {
         while h != 0 {
             let g = h.trailing_zeros() as usize;
             h &= h - 1;
-            if s & self.req[g] == self.req[g] {
+            let req = self.nodes[g].req;
+            if s & req == req {
                 ns |= a_bit(g) | b_bit(g);
             }
         }
@@ -216,20 +223,28 @@ impl Conjunction {
 
 /// The probability DP over one tree of a [`Forest`]; holds scratch
 /// buffers that every run reuses, so a warm kernel allocates nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Kernel {
     /// Messages of processed slots whose parent is still pending, back to
-    /// back.
+    /// back, then the message being built and its operands.
     msgs: Dist,
     /// Per pending message: its start in `msgs` and its parent slot.
     frames: Vec<(usize, u32)>,
-    /// Message ranges of the slot being processed's children, in order.
-    kids: Vec<(usize, usize)>,
-    acc: Dist,
-    tmp: Dist,
-    part: Dist,
     table: Table,
+    /// Accumulates an `exp` slot's mixture while `table` convolves.
     outer: Table,
+}
+
+impl Default for Kernel {
+    /// A kernel sized so that small trees run without growing a buffer.
+    fn default() -> Kernel {
+        Kernel {
+            msgs: Dist::with_capacity(24),
+            frames: Vec::with_capacity(16),
+            table: Table::with_capacity(16),
+            outer: Table::default(),
+        }
+    }
 }
 
 impl Kernel {
@@ -246,17 +261,15 @@ impl Kernel {
             while below > 0 && self.frames[below - 1].1 == v as u32 {
                 below -= 1;
             }
-            self.kids.clear();
-            for j in (below..self.frames.len()).rev() {
-                let end = self.frames.get(j + 1).map_or(self.msgs.len(), |f| f.0);
-                self.kids.push((self.frames[j].0, end));
-            }
-            self.message(&tree, v, conj);
-            let base = self.frames.get(below).map_or(self.msgs.len(), |f| f.0);
-            self.msgs.truncate(base);
+            let at = self.msgs.len();
+            self.message(&tree, v, below, conj);
+            // The message replaces the children's.
+            let base = self.frames.get(below).map_or(at, |f| f.0);
+            let len = self.msgs.len() - at;
+            self.msgs.copy_within(at.., base);
+            self.msgs.truncate(base + len);
             self.frames.truncate(below);
             self.frames.push((base, tree.parent[v]));
-            self.msgs.extend_from_slice(&self.acc);
         }
         debug_assert_eq!(self.frames.len(), 1);
         debug_assert_eq!(self.frames[0].1, NO_PARENT);
@@ -267,114 +280,122 @@ impl Kernel {
             .sum()
     }
 
-    /// Computes slot `v`'s message into `acc` from its children's
-    /// messages (`kids`, in child order).
-    fn message(&mut self, tree: &Tree<'_>, v: usize, conj: &Conjunction) {
+    /// Appends slot `v`'s message to `msgs`, from its children's messages:
+    /// those of the frames from `below` up, the first child on top.
+    fn message(&mut self, tree: &Tree<'_>, v: usize, below: usize, conj: &Conjunction) {
         let Kernel {
             msgs,
-            kids,
-            acc,
-            tmp,
-            part,
+            frames,
             table,
             outer,
-            ..
         } = self;
-        let kid = |k: usize| &msgs[kids[k].0..kids[k].1];
-        acc.clear();
+        let at = msgs.len();
+        let kids = frames.len() - below;
+        let kid = |k: usize| {
+            let j = frames.len() - 1 - k;
+            frames[j].0..frames.get(j + 1).map_or(at, |f| f.0)
+        };
         match tree.kind[v] {
             Slot::Ordinary => {
-                let pin = conj.pin_bits(tree.id[v]);
+                let (here, pin) = conj.at_slot(tree.label[v], tree.id[v]);
                 // A pin child before the children turns the empty start
                 // into the pin's certain state; a missing pin leaves it.
                 let first = if conj.site == PinSite::First { pin } else { 0 };
-                acc.push((first, 1.0));
-                for k in 0..kids.len() {
-                    or_convolve(table, acc, kid(k), tmp);
+                msgs.push((first, 1.0));
+                for k in 0..kids {
+                    or_convolve(table, msgs, at, kid(k));
                 }
                 if conj.site == PinSite::Last && pin != 0 {
-                    or_convolve(table, acc, &[(pin, 1.0)], tmp);
+                    msgs.push((pin, 1.0));
+                    or_convolve(table, msgs, at, msgs.len() - 1..msgs.len());
                 }
-                let here = conj.here(tree.label[v]);
-                table.reset(acc.len());
-                for &(s, p) in acc.iter() {
+                table.reset(msgs.len() - at);
+                for &(s, p) in &msgs[at..] {
                     table.add(conj.lift(s, here), p);
                 }
-                table.list_into(acc);
+                msgs.truncate(at);
+                table.append_to(msgs);
             }
             Slot::Mux => {
-                let probs = tree.edge_probs(v, kids.len());
+                let probs = tree.edge_probs(v, kids);
                 table.reset(0);
                 let mut mass = 0.0;
                 for (k, &p) in probs.iter().enumerate() {
                     mass += p;
-                    for &(s, q) in kid(k) {
+                    for &(s, q) in &msgs[kid(k)] {
                         table.add(s, p * q);
                     }
                 }
                 table.add(0, (1.0 - mass).max(0.0));
-                table.list_into(acc);
+                table.append_to(msgs);
             }
             Slot::Ind => {
-                let probs = tree.edge_probs(v, kids.len());
-                acc.push((0, 1.0));
+                let probs = tree.edge_probs(v, kids);
+                msgs.push((0, 1.0));
                 for (k, &p) in probs.iter().enumerate() {
-                    // The child kept with probability `p`.
-                    let msg = kid(k);
-                    table.reset(msg.len() + 1);
-                    for &(s, q) in msg {
+                    // The child kept with probability `p`, built behind
+                    // the accumulated message.
+                    table.reset(kid(k).len() + 1);
+                    for &(s, q) in &msgs[kid(k)] {
                         table.add(s, p * q);
                     }
                     table.add(0, 1.0 - p);
-                    table.list_into(part);
-                    or_convolve(table, acc, part, tmp);
+                    let kept = msgs.len();
+                    table.append_to(msgs);
+                    or_convolve(table, msgs, at, kept..msgs.len());
                 }
             }
             Slot::Det => {
-                acc.push((0, 1.0));
-                for k in 0..kids.len() {
-                    or_convolve(table, acc, kid(k), tmp);
+                msgs.push((0, 1.0));
+                for k in 0..kids {
+                    or_convolve(table, msgs, at, kid(k));
                 }
             }
             Slot::Exp => {
                 outer.reset(0);
                 for &(mask, pm) in tree.exp_table(v) {
-                    part.clear();
-                    part.push((0, 1.0));
-                    for k in 0..kids.len() {
+                    msgs.push((0, 1.0));
+                    for k in 0..kids {
                         if mask & (1 << k) != 0 {
-                            or_convolve(table, part, kid(k), tmp);
+                            or_convolve(table, msgs, at, kid(k));
                         }
                     }
-                    for &(s, q) in part.iter() {
+                    for &(s, q) in &msgs[at..] {
                         outer.add(s, pm * q);
                     }
+                    msgs.truncate(at);
                 }
-                outer.list_into(acc);
+                outer.append_to(msgs);
             }
         }
     }
 }
 
-/// `d1 ← d1 ⊛ d2`, the OR-convolution of two independent event
-/// distributions. A `d1` that is the empty state with probability 1 (to
-/// within 1e-15) leaves `d2` as it is.
-fn or_convolve(table: &mut Table, d1: &mut Dist, d2: &[(State, f64)], tmp: &mut Dist) {
-    if let [(0, p)] = d1[..] {
-        if (p - 1.0).abs() < 1e-15 {
-            d1.clear();
-            d1.extend_from_slice(d2);
-            return;
-        }
+/// Replaces the distribution `msgs[at..d2.start]` (or `msgs[at..]` when
+/// `d2` lies below `at`) with its OR-convolution with the independent
+/// distribution `msgs[d2]`. The empty state with probability 1 (to within
+/// 1e-15) on the left leaves `msgs[d2]` as it is.
+fn or_convolve(table: &mut Table, msgs: &mut Dist, at: usize, d2: Range<usize>) {
+    let end = if d2.start >= at { d2.start } else { msgs.len() };
+    let identity = matches!(msgs[at..end], [(0, p)] if (p - 1.0).abs() < 1e-15);
+    if identity && d2.start >= at {
+        msgs.copy_within(d2.clone(), at);
+        msgs.truncate(at + d2.len());
+        return;
     }
-    table.reset(d1.len() * d2.len());
-    for &(s1, p1) in d1.iter() {
-        for &(s2, p2) in d2 {
+    if identity {
+        msgs.truncate(at);
+        msgs.extend_from_within(d2);
+        return;
+    }
+    table.reset((end - at) * d2.len());
+    for &(s1, p1) in &msgs[at..end] {
+        for &(s2, p2) in &msgs[d2.clone()] {
             table.add(s1 | s2, p1 * p2);
         }
     }
-    table.list_into(tmp);
-    std::mem::swap(d1, tmp);
+    msgs.truncate(at);
+    table.append_to(msgs);
 }
 
 /// Probability that **all** patterns match the random document (with their

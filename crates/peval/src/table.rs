@@ -24,8 +24,6 @@ const EMPTY: u32 = u32::MAX;
 pub(crate) struct Table {
     /// Entry index per slot, or `EMPTY`.
     slots: Vec<u32>,
-    /// Spare slot array for growing.
-    spare: Vec<u32>,
     entries: Dist,
     growth_left: usize,
 }
@@ -57,7 +55,42 @@ fn capacity(slots: usize) -> usize {
     }
 }
 
+/// The first slot of `slots` on `s`'s probe sequence that is empty or
+/// holds `s`.
+fn probe(slots: &[u32], entries: &Dist, s: State) -> usize {
+    let n = slots.len();
+    let mask = n - 1;
+    let hit = |i: usize| {
+        let e = slots[i];
+        e == EMPTY || entries[e as usize].0 == s
+    };
+    let mut pos = state_hash(s) as usize & mask;
+    if n < 16 {
+        return (pos..n)
+            .chain(0..pos)
+            .find(|&i| hit(i))
+            .expect("a free slot");
+    }
+    let mut stride = 0;
+    loop {
+        if let Some(i) = (0..16).map(|i| (pos + i) & mask).find(|&i| hit(i)) {
+            return i;
+        }
+        stride += 16;
+        pos = (pos + stride) & mask;
+    }
+}
+
 impl Table {
+    /// A table that holds `cap` entries without growing a buffer.
+    pub(crate) fn with_capacity(cap: usize) -> Table {
+        Table {
+            slots: Vec::with_capacity(buckets(cap)),
+            entries: Dist::with_capacity(cap),
+            growth_left: 0,
+        }
+    }
+
     /// Empties the table and sizes it for `cap` entries (0: no slots
     /// until the first insert).
     pub(crate) fn reset(&mut self, cap: usize) {
@@ -73,41 +106,16 @@ impl Table {
         }
     }
 
-    /// The first slot on `s`'s probe sequence that is empty or holds `s`.
-    fn probe(&self, s: State) -> usize {
-        let n = self.slots.len();
-        let mask = n - 1;
-        let hit = |i: usize| {
-            let e = self.slots[i];
-            e == EMPTY || self.entries[e as usize].0 == s
-        };
-        let mut pos = state_hash(s) as usize & mask;
-        if n < 16 {
-            return (pos..n)
-                .chain(0..pos)
-                .find(|&i| hit(i))
-                .expect("a free slot");
-        }
-        let mut stride = 0;
-        loop {
-            if let Some(i) = (0..16).map(|i| (pos + i) & mask).find(|&i| hit(i)) {
-                return i;
-            }
-            stride += 16;
-            pos = (pos + stride) & mask;
-        }
-    }
-
     /// Adds `p` to state `s`'s probability (a new state starts at 0).
     pub(crate) fn add(&mut self, s: State, p: f64) {
-        let mut i = self.probe(s);
+        let mut i = probe(&self.slots, &self.entries, s);
         if self.slots[i] != EMPTY {
             self.entries[self.slots[i] as usize].1 += p;
             return;
         }
         if self.growth_left == 0 {
             self.grow();
-            i = self.probe(s);
+            i = probe(&self.slots, &self.entries, s);
         }
         self.slots[i] = self.entries.len() as u32;
         self.entries.push((s, 0.0 + p));
@@ -115,30 +123,23 @@ impl Table {
     }
 
     /// Moves every entry, in slot order, into a table sized for one more.
+    /// The new slots are laid out behind the old ones, then moved down.
     fn grow(&mut self) {
-        let items = self.entries.len();
-        let full = if self.slots.len() == 1 {
-            0
-        } else {
-            capacity(self.slots.len())
-        };
+        let (old, items) = (self.slots.len(), self.entries.len());
+        let full = if old == 1 { 0 } else { capacity(old) };
         let n = buckets((items + 1).max(full + 1));
-        std::mem::swap(&mut self.slots, &mut self.spare);
-        self.slots.clear();
-        self.slots.resize(n, EMPTY);
-        self.growth_left = capacity(n) - items;
-        for k in 0..self.spare.len() {
-            let e = self.spare[k];
-            if e != EMPTY {
-                let i = self.probe(self.entries[e as usize].0);
-                self.slots[i] = e;
-            }
+        self.slots.resize(old + n, EMPTY);
+        let (from, to) = self.slots.split_at_mut(old);
+        for &e in from.iter().filter(|&&e| e != EMPTY) {
+            let i = probe(to, &self.entries, self.entries[e as usize].0);
+            to[i] = e;
         }
+        self.slots.drain(..old);
+        self.growth_left = capacity(n) - items;
     }
 
-    /// Replaces `out` with the entries in slot order.
-    pub(crate) fn list_into(&self, out: &mut Dist) {
-        out.clear();
+    /// Appends the entries to `out` in slot order.
+    pub(crate) fn append_to(&self, out: &mut Dist) {
         out.extend(
             self.slots
                 .iter()
@@ -197,7 +198,8 @@ mod tests {
                 *map.entry(s).or_insert(0.0) += p;
                 table.add(s, p);
             }
-            table.list_into(&mut listed);
+            listed.clear();
+            table.append_to(&mut listed);
             let want: Vec<(State, u64)> = map.iter().map(|(&s, &p)| (s, p.to_bits())).collect();
             let got: Vec<(State, u64)> = listed.iter().map(|&(s, p)| (s, p.to_bits())).collect();
             assert_eq!(got, want, "n = {n}, capacity {cap}");

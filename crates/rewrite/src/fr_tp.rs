@@ -67,11 +67,10 @@ pub(crate) struct Fr<'a> {
 
 impl<'a> Fr<'a> {
     pub(crate) fn new(rw: &'a TpRewriting, ext: &'a ProbExtension) -> Fr<'a> {
-        let marked = mark_output(&rw.compensation, ext.pdoc.root());
         Fr {
             rw,
             ext,
-            pinned: Conjunction::new(std::slice::from_ref(&marked), parse_id_label),
+            pinned: Conjunction::marked(&rw.compensation, ext.pdoc.root()),
             kernel: Kernel::default(),
         }
     }
@@ -79,8 +78,7 @@ impl<'a> Fr<'a> {
     /// `Pr(n ∈ q_(k)(P̂^{n_i}_v))` inside the subtree of result `i`.
     pub(crate) fn numerator(&mut self, i: usize, n: NodeId) -> f64 {
         self.pinned.pin_to(n);
-        self.kernel
-            .probability(self.ext.forest(), i, &self.pinned)
+        self.kernel.probability(self.ext.forest(), i, &self.pinned)
     }
 
     /// `fr(n)`.

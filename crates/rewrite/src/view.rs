@@ -939,7 +939,10 @@ mod tests {
         assert!(ext.forest.get().is_some(), "answering fills the forest");
         assert_eq!(ext.denominators().len(), ext.results.len());
         assert_eq!(ext.forest().shape(), ext.forest_shape);
-        assert!(ext.forest().len() > ext.orig_entries().count(), "distributional slots");
+        assert!(
+            ext.forest().len() > ext.orig_entries().count(),
+            "distributional slots"
+        );
         assert_eq!(ext.heap_bytes(), before, "filling the memos is free");
         let roots: Vec<NodeId> = ext.results.iter().map(|r| r.ext_root).collect();
         let origs: Vec<NodeId> = ext.results.iter().map(|r| r.orig).collect();
@@ -968,7 +971,11 @@ mod tests {
         assert_eq!(reweighed.heap_bytes(), before);
         reweighed.denominators();
         assert_eq!(reweighed.heap_bytes(), before);
-        assert_ext_identical(&reweighed, &ProbExtension::materialize(&after, &view), "reweigh");
+        assert_ext_identical(
+            &reweighed,
+            &ProbExtension::materialize(&after, &view),
+            "reweigh",
+        );
     }
 
     /// Every edit kind, applied to the personnel scenario: the
