@@ -176,6 +176,15 @@ pub enum EngineError {
     Edit(EditError),
     /// No probabilistic rewriting exists and direct fallback is disabled.
     Plan(PlanError),
+    /// The query has more nodes than evaluation supports
+    /// ([`pxv_tpq::MAX_PATTERN_NODES`]); neither a plan nor direct
+    /// evaluation is attempted.
+    PatternTooLarge {
+        /// Nodes in the query.
+        nodes: usize,
+        /// The most a query may have.
+        max: usize,
+    },
     /// A lazily restored extension section failed to decode or validate
     /// when a query first probed it (corrupt bytes, a bad checksum, or a
     /// document mismatch). Other sections keep serving; re-probing the
@@ -201,6 +210,9 @@ impl std::fmt::Display for EngineError {
             EngineError::InvalidDocument(why) => write!(f, "invalid p-document: {why}"),
             EngineError::Edit(e) => write!(f, "edit rejected: {e}"),
             EngineError::Plan(e) => write!(f, "{e}"),
+            EngineError::PatternTooLarge { nodes, max } => {
+                write!(f, "query has {nodes} nodes; at most {max} are supported")
+            }
             EngineError::Section { doc, view, what } => {
                 write!(f, "lazy extension section (doc {doc}, view {view}): {what}")
             }
@@ -209,6 +221,18 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+/// Refuses a query wider than evaluation supports, before planning or
+/// direct evaluation sees it.
+fn check_width(q: &TreePattern) -> Result<(), EngineError> {
+    if q.len() > pxv_tpq::MAX_PATTERN_NODES {
+        return Err(EngineError::PatternTooLarge {
+            nodes: q.len(),
+            max: pxv_tpq::MAX_PATTERN_NODES,
+        });
+    }
+    Ok(())
+}
 
 impl From<PlanError> for EngineError {
     fn from(e: PlanError) -> EngineError {
@@ -1956,6 +1980,7 @@ impl Engine {
 
     /// Plans `q` with explicit options (through the plan cache).
     pub fn plan_with(&self, q: &TreePattern, options: &QueryOptions) -> Result<Plan, EngineError> {
+        check_width(q)?;
         match &*self.cached_plan(q, options) {
             Ok(plan) => Ok(plan.clone()),
             Err(e) => Err(EngineError::Plan(e.clone())),
@@ -2071,6 +2096,7 @@ impl Engine {
         options: &QueryOptions,
     ) -> Result<Answer, EngineError> {
         let pdoc = self.pdoc(doc)?;
+        check_width(q)?;
         // When profiling is off (the default) every timing site below is
         // a `None` branch — no clocks are read, so the answer path is
         // bit-identical to an uninstrumented run. The spans are equally
@@ -2516,6 +2542,7 @@ impl Engine {
     /// the rewriting avoids; touches no extension).
     pub fn answer_direct(&self, doc: DocId, q: &TreePattern) -> Result<Answer, EngineError> {
         let pdoc = self.pdoc(doc)?;
+        check_width(q)?;
         Ok(self.direct_answer(pdoc, q, "direct evaluation".to_string()))
     }
 

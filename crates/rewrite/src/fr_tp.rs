@@ -120,50 +120,63 @@ impl<'a> Fr<'a> {
     /// proof).
     pub(crate) fn joint_event(&mut self, n: NodeId, subset: &[usize]) -> f64 {
         let ext = self.ext;
-        let token = ext.view.pattern.last_token();
-        let m = token.mb_len();
-        let comp_pinned = mark_output(&self.rw.compensation, n);
         let top = subset[0];
-        let root = ext.results[top].ext_root;
-        let beta = ext.results[top].prob;
         let den = ext.denominators()[top];
         if den <= 0.0 {
             return 0.0;
         }
-        let root_label = ext.pdoc.label(root).expect("result roots are ordinary");
-        // Conjunction: compensation from the top ancestor, plus an α member
-        // per deeper ancestor re-testing the last token (or its visible
-        // part) at that ancestor and compensating down to n.
-        let mut patterns: Vec<TreePattern> = vec![comp_pinned.clone()];
-        for &j in &subset[1..] {
-            let orig_j = ext.results[j].orig;
-            let occ = ext.occurrences_in_result(top, orig_j);
-            if occ.is_empty() {
-                return 0.0; // n_j not in the top subtree: impossible configuration
-            }
-            let s = ext.depth_in_result(top, occ[0]);
-            let alpha_j = if s > m {
-                // Full token, somewhere strictly below the root: lm // t[Id(nj)] ⋅ comp.
-                let marked = mark_output(&token, orig_j);
-                let with_comp = comp(&marked, &comp_pinned);
-                descend_plan(root_label, &with_comp)
-            } else {
-                // Overlapping images: only the visible part of the lower
-                // token, anchored at the subtree root:
-                // l_{m-s+1}[..]/…/lm[Qm][Id(nj)] ⋅ comp.
-                let partial = token.suffix(m - s + 1);
-                if partial.label(partial.root()) != root_label {
-                    return 0.0;
-                }
-                let marked = mark_output(&partial, orig_j);
-                comp(&marked, &comp_pinned)
-            };
-            patterns.push(alpha_j);
-        }
+        let Some(patterns) = joint_patterns(self.rw, ext, n, subset) else {
+            return 0.0;
+        };
         let conj = Conjunction::new(&patterns, parse_id_label);
         let joint = self.kernel.probability(ext.forest(), top, &conj);
-        beta / den * joint
+        ext.results[top].prob / den * joint
     }
+}
+
+/// The conjunction behind `Pr(⋂_{i ∈ S} e_i)`, to be matched at the root
+/// of the shallowest ancestor's result subtree: the compensation, plus an
+/// α member per deeper ancestor re-testing the last token (or its visible
+/// part) at that ancestor and compensating down to `n`. `Id(·)` marker
+/// labels pin `n` and the deeper ancestors. `None` when the configuration
+/// is impossible (the event has probability 0).
+fn joint_patterns(
+    rw: &TpRewriting,
+    ext: &ProbExtension,
+    n: NodeId,
+    subset: &[usize],
+) -> Option<Vec<TreePattern>> {
+    let token = ext.view.pattern.last_token();
+    let m = token.mb_len();
+    let comp_pinned = mark_output(&rw.compensation, n);
+    let top = subset[0];
+    let root = ext.results[top].ext_root;
+    let root_label = ext.pdoc.label(root).expect("result roots are ordinary");
+    let mut patterns: Vec<TreePattern> = vec![comp_pinned.clone()];
+    for &j in &subset[1..] {
+        let orig_j = ext.results[j].orig;
+        // n_j must occur in the top subtree.
+        let occ = *ext.occurrences_in_result(top, orig_j).first()?;
+        let s = ext.depth_in_result(top, occ);
+        let alpha_j = if s > m {
+            // Full token, somewhere strictly below the root: lm // t[Id(nj)] ⋅ comp.
+            let marked = mark_output(&token, orig_j);
+            let with_comp = comp(&marked, &comp_pinned);
+            descend_plan(root_label, &with_comp)
+        } else {
+            // Overlapping images: only the visible part of the lower
+            // token, anchored at the subtree root:
+            // l_{m-s+1}[..]/…/lm[Qm][Id(nj)] ⋅ comp.
+            let partial = token.suffix(m - s + 1);
+            if partial.label(partial.root()) != root_label {
+                return None;
+            }
+            let marked = mark_output(&partial, orig_j);
+            comp(&marked, &comp_pinned)
+        };
+        patterns.push(alpha_j);
+    }
+    Some(patterns)
 }
 
 /// `fr(n)` for an accepted TP-rewriting: `Pr(n ∈ q(P))` computed from the
@@ -295,6 +308,72 @@ mod tests {
             assert_eq!(n1, n2);
             assert!((p1 - p2).abs() < 1e-9, "at {n1}: fr={p1} direct={p2}");
         }
+    }
+
+    /// Pins on the forest (no `Id(·)` slots) give the bits of matching
+    /// the markers themselves, on a layout that keeps every marker slot:
+    /// the numerator of Theorem 1 and every joint event of Eq. 1.
+    #[test]
+    fn virtual_markers_are_bit_identical_to_marker_slots() {
+        use pxv_pxml::forest::Forest;
+        let nested =
+            parse_pdocument("a#0[b#1[ind#2(0.7: b#3[mux#4(0.6: c#5)]), mux#6(0.3: c#7)]]").unwrap();
+        let (personnel, _) = pxv_pxml::generators::personnel(12, 3, 5);
+        let cases = [
+            (nested, "a//b", "a//b//c"),
+            (
+                personnel.clone(),
+                "IT-personnel//person/bonus",
+                "IT-personnel//person/bonus[laptop]",
+            ),
+            (
+                personnel,
+                "IT-personnel//person[name/Rick]/bonus",
+                "IT-personnel//person[name/Rick]/bonus[pda]",
+            ),
+        ];
+        let mut compared = 0;
+        for (pdoc, v, q) in cases {
+            let view = View::new("v", p(v));
+            let rw = tp_rewrite(&p(q), std::slice::from_ref(&view)).remove(0);
+            let ext = ProbExtension::materialize(&pdoc, &view);
+            let mut markers = Forest::default();
+            for r in &ext.results {
+                markers.push_pdocument(&ext.pdoc, r.ext_root, Some);
+            }
+            let mut kernel = Kernel::default();
+            let mut check = |t: usize, patterns: &[TreePattern]| {
+                let pinned = Conjunction::new(patterns, parse_id_label);
+                let literal = Conjunction::new(patterns, |_| None);
+                assert_eq!(
+                    kernel.probability(ext.forest(), t, &pinned).to_bits(),
+                    kernel.probability(&markers, t, &literal).to_bits(),
+                    "{patterns:?}"
+                );
+                compared += 1;
+            };
+            for n in ext.candidates(&rw.compensation) {
+                let anc = ext.results_containing(n);
+                check(anc[0], &[mark_output(&rw.compensation, n)]);
+                let marked = Conjunction::marked(&rw.compensation, n);
+                let named = Conjunction::new(&[mark_output(&rw.compensation, n)], parse_id_label);
+                let mut k = Kernel::default();
+                assert_eq!(
+                    k.probability(ext.forest(), anc[0], &marked).to_bits(),
+                    k.probability(ext.forest(), anc[0], &named).to_bits()
+                );
+                for mask in 1u32..(1 << anc.len()) {
+                    let subset: Vec<usize> = (0..anc.len())
+                        .filter(|&b| mask & (1 << b) != 0)
+                        .map(|b| anc[b])
+                        .collect();
+                    if let Some(patterns) = joint_patterns(&rw, &ext, n, &subset) {
+                        check(subset[0], &patterns);
+                    }
+                }
+            }
+        }
+        assert!(compared > 30, "{compared}");
     }
 
     #[test]

@@ -742,3 +742,138 @@ fn dp_paths_are_bit_identical_to_golden_hashes() {
         assert_eq!(*g, w, "{name}: hash {g:#018x}, pinned {w:#018x}");
     }
 }
+
+/// Two patterns rooted at `a` (the root of [`random_all_kinds`]
+/// documents) from a fixed mix of axes and predicates.
+fn two_patterns(rng: &mut StdRng) -> (TreePattern, TreePattern) {
+    use rand::Rng;
+    const PATTERNS: [&str; 8] = [
+        "a//b",
+        "a/b[c]",
+        "a//c",
+        "a[b]//d",
+        "a/c",
+        "a//b[.//d]",
+        "a/d/b",
+        "a[c][d]",
+    ];
+    let mut pick =
+        || prxview::tpq::parse::parse_pattern(PATTERNS[rng.gen_range(0..PATTERNS.len())]).unwrap();
+    (pick(), pick())
+}
+
+/// The column kernel against possible-world enumeration on small
+/// p-documents with every distributional kind: direct answers, Boolean
+/// conjunctions and two-target joints all within 1e-12.
+#[test]
+fn column_kernel_matches_possible_worlds_on_every_kind() {
+    let mut rng = StdRng::seed_from_u64(0xc01_0528);
+    let (mut checked, mut answered) = (0, 0);
+    for trial in 0..80 {
+        let pdoc = random_all_kinds(&mut rng);
+        let (q1, q2) = two_patterns(&mut rng);
+        let Some(space) = pdoc.px_space_limited(1 << 14) else {
+            continue;
+        };
+        let want = brute_force(&pdoc, &q1).expect("enumerable");
+        let got = prxview::peval::eval_tp(&pdoc, &q1);
+        answered += got.len();
+        assert_eq!(got.len(), want.len(), "trial {trial}: {q1}\n{pdoc}");
+        for ((n1, p1), (n2, p2)) in got.iter().zip(&want) {
+            assert_eq!(n1, n2, "trial {trial}");
+            assert!(
+                (p1 - p2).abs() < 1e-12,
+                "trial {trial} {q1} at {n1}: {p1} vs {p2}"
+            );
+        }
+        let both =
+            prxview::peval::dp::boolean_conjunction_probability(&pdoc, &[q1.clone(), q2.clone()]);
+        let exact = space.probability_where(|w| {
+            prxview::tpq::embed::matches(&q1, w) && prxview::tpq::embed::matches(&q2, w)
+        });
+        assert!(
+            (both - exact).abs() < 1e-12,
+            "trial {trial}: {both} vs {exact}"
+        );
+        let ids: Vec<NodeId> = pdoc.ordinary_ids().collect();
+        let (m, n) = (ids[trial % ids.len()], ids[(trial / 2) % ids.len()]);
+        let joint = prxview::peval::joint_probability(&pdoc, &[(&q1, m), (&q2, n)]);
+        let exact = space.probability_where(|w| {
+            w.contains(m)
+                && w.contains(n)
+                && prxview::tpq::embed::selects(&q1, w, m)
+                && prxview::tpq::embed::selects(&q2, w, n)
+        });
+        assert!(
+            (joint - exact).abs() < 1e-12,
+            "trial {trial}: {joint} vs {exact}"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 60, "too few enumerable trials: {checked}");
+    assert!(answered >= 60, "too few answers: {answered}");
+}
+
+/// A virtual pin is bit-identical to a real one: a certain child with a
+/// fresh label appended below the target, and the same label as a
+/// `/`-child of each pattern's output, evaluated with no pins at all.
+#[test]
+fn virtual_pins_are_bit_identical_to_real_pin_children() {
+    use prxview::pxml::Label;
+    use prxview::tpq::Axis;
+    /// `pdoc` with a pin child per target (appended last, as pinning a
+    /// copy always did) and each pattern with its target's pin under the
+    /// output.
+    fn pin(pdoc: &PDocument, specs: &[(&TreePattern, NodeId)]) -> (PDocument, Vec<TreePattern>) {
+        let mut doc = pdoc.clone();
+        let mut labels: Vec<(NodeId, Label)> = Vec::new();
+        let patterns = specs
+            .iter()
+            .map(|&(q, n)| {
+                let label = match labels.iter().find(|l| l.0 == n) {
+                    Some(&(_, l)) => l,
+                    None => {
+                        let l = Label::new(&format!("pin-{}", labels.len()));
+                        doc.add_ordinary(n, l, 1.0);
+                        labels.push((n, l));
+                        l
+                    }
+                };
+                let mut p = q.clone();
+                p.add_child(q.output(), Axis::Child, label);
+                p
+            })
+            .collect();
+        (doc, patterns)
+    }
+    let mut rng = StdRng::seed_from_u64(0x0b17_0528);
+    let bits = |specs: &[(&TreePattern, NodeId)], pdoc: &PDocument| {
+        let (doc, patterns) = pin(pdoc, specs);
+        prxview::peval::dp::boolean_conjunction_probability(&doc, &patterns).to_bits()
+    };
+    let mut compared = 0;
+    for _ in 0..60 {
+        let pdoc = random_all_kinds(&mut rng);
+        let (q1, q2) = two_patterns(&mut rng);
+        let cands = prxview::peval::candidates(&pdoc, &q1);
+        for &n in &cands {
+            let single = prxview::peval::eval_tp_at(&pdoc, &q1, n);
+            assert_eq!(single.to_bits(), bits(&[(&q1, n)], &pdoc), "{q1} at {n}");
+            let both = prxview::peval::eval_intersection_at(&pdoc, &[q1.clone(), q2.clone()], n);
+            assert_eq!(
+                both.to_bits(),
+                bits(&[(&q1, n), (&q2, n)], &pdoc),
+                "∩ at {n}"
+            );
+            let m = cands[0];
+            let joint = prxview::peval::joint_probability(&pdoc, &[(&q1, n), (&q2, m), (&q1, m)]);
+            assert_eq!(
+                joint.to_bits(),
+                bits(&[(&q1, n), (&q2, m), (&q1, m)], &pdoc),
+                "joint at {n}, {m}"
+            );
+            compared += 1;
+        }
+    }
+    assert!(compared >= 50, "too few candidates compared: {compared}");
+}

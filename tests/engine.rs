@@ -361,3 +361,73 @@ fn shared_engine_keys_cache_per_document() {
         Err(EngineError::UnknownDocument(_))
     ));
 }
+
+/// `a` with `n − 1` `/`-children `b`: an `n`-node pattern.
+fn wide(n: usize) -> TreePattern {
+    use prxview::tpq::Axis;
+    let mut q = TreePattern::leaf(prxview::pxml::Label::new("a"));
+    for _ in 1..n {
+        q.add_child(q.root(), Axis::Child, prxview::pxml::Label::new("b"));
+    }
+    q
+}
+
+/// Patterns wider than the DP's state (`MAX_PATTERN_NODES`, 63) are a
+/// typed error before planning and before direct evaluation, never a
+/// panic; the widest allowed one is answered, through a view or directly.
+#[test]
+fn over_wide_patterns_are_typed_errors() {
+    use prxview::pxml::text::parse_pdocument;
+    use prxview::tpq::MAX_PATTERN_NODES;
+    assert_eq!(MAX_PATTERN_NODES, 63);
+    let pdoc = parse_pdocument("a[b, c]").unwrap();
+    let mut engine = Engine::new();
+    let doc = engine.add_document("d", pdoc.clone()).unwrap();
+    engine.register_view(View::new("all", p("a"))).unwrap();
+    for n in [63, 64, 70] {
+        let q = wide(n);
+        assert_eq!(q.len(), n);
+        for fallback in [Fallback::Forbid, Fallback::Direct] {
+            let opts = QueryOptions::new().fallback(fallback);
+            let got = engine.answer_with(doc, &q, &opts);
+            if n <= MAX_PATTERN_NODES {
+                let answer = got.unwrap_or_else(|e| panic!("{n} nodes, {fallback:?}: {e}"));
+                assert_eq!(answer.nodes, prxview::peval::eval_tp(&pdoc, &q), "{n}");
+                assert_eq!(answer.nodes.len(), 1, "{n}: the root matches");
+            } else {
+                assert!(
+                    matches!(got, Err(EngineError::PatternTooLarge { nodes, max: 63 }) if nodes == n),
+                    "{n} nodes, {fallback:?}: {got:?}"
+                );
+            }
+        }
+        let direct = engine.answer_direct(doc, &q);
+        assert_eq!(direct.is_ok(), n <= MAX_PATTERN_NODES, "{n}: {direct:?}");
+        assert_eq!(engine.plan(&q).is_err(), n > MAX_PATTERN_NODES, "{n}");
+    }
+}
+
+/// `prxview eval` on an over-wide query exits with a parse error, not a
+/// panic (exit code 101); at the limit it answers.
+#[test]
+fn prxview_eval_refuses_over_wide_queries() {
+    let path = std::env::temp_dir().join(format!("prxview-wide-{}.pxml", std::process::id()));
+    std::fs::write(&path, "a[b, c]").unwrap();
+    for (n, ok) in [(63, true), (64, false), (70, false)] {
+        let query = format!("a{}", "[b]".repeat(n - 1));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_prxview"))
+            .arg("eval")
+            .arg(&path)
+            .arg(&query)
+            .output()
+            .expect("prxview runs");
+        let code = out.status.code();
+        assert_ne!(code, Some(101), "{n} nodes panicked");
+        assert_eq!(out.status.success(), ok, "{n} nodes: exit {code:?}");
+        if !ok {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("more than 63 nodes"), "{n}: {err}");
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}

@@ -350,11 +350,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// An extension's candidate search (one embedding pass over its
-    /// skeleton memo) equals its definition: the compensation's answers
-    /// on every result subtree's maximal world, mapped to original nodes.
-    /// A layout fault shows only where a distributional node sits below a
-    /// result root's children, which few small documents have: hence more
-    /// cases than the properties above.
+    /// forest memo, read through its distributional slots) equals its
+    /// definition: the compensation's answers on every result subtree's
+    /// maximal world, mapped to original nodes. A layout fault shows only
+    /// where a distributional node sits below a result root's children,
+    /// which few small documents have: hence more cases than the
+    /// properties above.
     #[test]
     fn extension_candidates_match_max_world_embedding(
         pdoc in small_pdoc(),
