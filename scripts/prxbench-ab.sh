@@ -9,8 +9,17 @@
 # <workdir> again to reuse both builds). Then runs <pairs> pairs at
 # BENCHMARK.json's `run_seconds`, pair i with seed i on both sides,
 # alternating which side runs first. Prints, per end-to-end metric, the
-# median and quartiles of each side, the ratio of medians, and how many
-# pairs the working tree won (in the metric's `better` direction).
+# median and quartiles of each side, the ratio of medians, how many pairs
+# the working tree won (in the metric's `better` direction, ties counting
+# for neither side), and a verdict:
+#   won                 the tree won at least 9/10 of the pairs and the
+#                       medians differ, in its favour, by more than the
+#                       base's interquartile range;
+#   worse beyond bound  the tree's median is worse than the base's by more
+#                       than the metric's BENCHMARK.json `bound` (relative);
+#   unresolved          the base's own interquartile range, relative to its
+#                       median, is wider than the bound;
+#   within bound        otherwise.
 # Finally runs one traced smoke per side (--trace 1 --seed 1), prints its
 # `ladder` and `FAILED` lines, and exits non-zero if the working tree's
 # traced run fails.
@@ -68,7 +77,19 @@ for s, rs in runs.items():
     bad = sum(1 for r in rs if not r["correct"])
     failed = sum(r["failed"] for r in rs)
     print(f"{s}: {bad} incorrect run(s), {failed} failed operation(s)")
-print(f"{'metric':<20} {'base p25/med/p75':>28} {'new p25/med/p75':>28} {'new/base':>9} {'new won':>8}")
+
+def verdict(base, new, wins, lower, bound):
+    (b1, b2, b3), (_, n2, _) = quartiles(base), quartiles(new)
+    gain = (b2 - n2) if lower else (n2 - b2)
+    if wins >= 0.9 * len(base) and gain > b3 - b1:
+        return "won"
+    if b2 and -gain / abs(b2) > bound:
+        return "worse beyond bound"
+    if b2 and (b3 - b1) / abs(b2) > bound:
+        return "unresolved"
+    return "within bound"
+
+print(f"{'metric':<20} {'base p25/med/p75':>28} {'new p25/med/p75':>28} {'new/base':>9} {'new won':>8}  verdict")
 for m in json.load(open(bench))["end_to_end"]:
     name, lower = m["name"], m["better"] == "lower"
     pick = lambda s: [r["metrics"].get(name, {}).get("value") for r in runs[s]]
@@ -79,7 +100,7 @@ for m in json.load(open(bench))["end_to_end"]:
     (b1, b2, b3), (n1, n2, n3) = quartiles(base), quartiles(new)
     ratio = n2 / b2 if b2 else float("nan")
     print(f"{name:<20} {b1:>8.3f} {b2:>9.3f} {b3:>9.3f} {n1:>8.3f} {n2:>9.3f} {n3:>9.3f}"
-          f" {ratio:>9.3f} {wins:>5}/{pairs}")
+          f" {ratio:>9.3f} {wins:>5}/{pairs}  {verdict(base, new, wins, lower, m['bound'])}")
 PY
 
 # Traced smoke: the per-layer ladder checks only run with --trace 1.
