@@ -309,6 +309,11 @@ impl Kernel {
                     msgs.push((pin, 1.0));
                     or_convolve(table, msgs, at, msgs.len() - 1..msgs.len());
                 }
+                if let [(s, p)] = msgs[at..] {
+                    // What a one-entry table lists.
+                    msgs[at] = (conj.lift(s, here), 0.0 + p);
+                    return;
+                }
                 table.reset(msgs.len() - at);
                 for &(s, p) in &msgs[at..] {
                     table.add(conj.lift(s, here), p);
@@ -386,6 +391,13 @@ fn or_convolve(table: &mut Table, msgs: &mut Dist, at: usize, d2: Range<usize>) 
     if identity {
         msgs.truncate(at);
         msgs.extend_from_within(d2);
+        return;
+    }
+    if let ([(s1, p1)], [(s2, p2)]) = (&msgs[at..end], &msgs[d2.clone()]) {
+        // What a one-entry table lists.
+        let one = (s1 | s2, 0.0 + p1 * p2);
+        msgs.truncate(at);
+        msgs.push(one);
         return;
     }
     table.reset((end - at) * d2.len());

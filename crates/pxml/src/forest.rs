@@ -148,7 +148,9 @@ impl Forest {
     /// distributional node is kept; an ordinary node is kept, stored
     /// under id `id_of(n)`, when `id_of` maps it to one, and skipped
     /// otherwise — its children then hang under its closest kept
-    /// ancestor. `root` must be kept.
+    /// ancestor. `root` must be kept, and so must every child of a
+    /// distributional node (the DP reads a `mux`/`ind`/`exp` slot's
+    /// parameters by child position).
     pub fn push_pdocument(
         &mut self,
         pdoc: &PDocument,
@@ -209,11 +211,6 @@ impl Forest {
     /// Whether no tree has a slot.
     pub fn is_empty(&self) -> bool {
         self.id.is_empty()
-    }
-
-    /// Number of trees.
-    pub fn trees(&self) -> usize {
-        self.starts.len()
     }
 
     /// The slot range of tree `t`.
