@@ -103,18 +103,22 @@ impl Shape {
             let kids = pdoc.children(n);
             match pdoc.kind(n) {
                 PKind::Ordinary(_) => self.slots += usize::from(keep(n)),
-                PKind::Mux | PKind::Ind => {
-                    self.slots += 1;
-                    self.edge_probs += kids.len();
-                }
-                PKind::Det => self.slots += 1,
-                PKind::Exp(table) => {
-                    self.slots += 1;
-                    self.exp_tables += 1;
-                    self.exp_entries += table.len();
-                }
+                kind => self.add_distributional(kind, kids.len()),
             }
             stack.extend_from_slice(kids);
+        }
+    }
+
+    /// Counts one distributional slot of `kind` with `children` children.
+    pub fn add_distributional(&mut self, kind: &PKind, children: usize) {
+        self.slots += 1;
+        match kind {
+            PKind::Mux | PKind::Ind => self.edge_probs += children,
+            PKind::Exp(table) => {
+                self.exp_tables += 1;
+                self.exp_entries += table.len();
+            }
+            PKind::Det | PKind::Ordinary(_) => {}
         }
     }
 }

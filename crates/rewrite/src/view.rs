@@ -328,13 +328,19 @@ impl ProbExtension {
             HashMap::with_capacity(orig_of.len());
         let mut forest_shape = Shape::default();
         for (i, r) in results.iter().enumerate() {
-            forest_shape.add_pdocument(&pdoc, r.ext_root, |n| orig_of.contains_key(&n));
+            forest_shape.trees += 1;
             let mut stack = vec![r.ext_root];
             while let Some(n) = stack.pop() {
+                let kids = pdoc.children(n);
                 if let Some(&orig) = orig_of.get(&n) {
                     by_orig.entry(orig).or_default().push((i, n));
+                    forest_shape.slots += 1;
+                } else if !kids.is_empty() {
+                    // Not a marker (those are leaves) but a distributional
+                    // node (never a leaf in a valid p-document).
+                    forest_shape.add_distributional(pdoc.kind(n), kids.len());
                 }
-                stack.extend(pdoc.children(n).iter().copied());
+                stack.extend_from_slice(kids);
             }
         }
         ProbExtension {
