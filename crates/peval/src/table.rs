@@ -155,7 +155,10 @@ mod tests {
 
     /// The table lists states in the iteration order of the standard
     /// library's `HashMap` under the same hash, for every capacity and
-    /// through growth — the order the DP's float sums were fixed in.
+    /// through growth — the order the DP's float sums were fixed in. The
+    /// golden hashes are the gate on answers; this test shows where the
+    /// order comes from, and would flag a toolchain whose `HashMap` lays
+    /// out differently (the table, and so the answers, would not move).
     #[test]
     fn table_order_is_the_hash_map_order() {
         use std::collections::HashMap;
