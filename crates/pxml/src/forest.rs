@@ -94,21 +94,6 @@ impl Shape {
             + self.trees * size_of::<usize>()
     }
 
-    /// Counts the slots [`Forest::push_pdocument`] lays out for `P̂_root`
-    /// with `keep` as its filter, without laying them out.
-    pub fn add_pdocument(&mut self, pdoc: &PDocument, root: NodeId, keep: impl Fn(NodeId) -> bool) {
-        self.trees += 1;
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            let kids = pdoc.children(n);
-            match pdoc.kind(n) {
-                PKind::Ordinary(_) => self.slots += usize::from(keep(n)),
-                kind => self.add_distributional(kind, kids.len()),
-            }
-            stack.extend_from_slice(kids);
-        }
-    }
-
     /// Counts one distributional slot of `kind` with `children` children.
     pub fn add_distributional(&mut self, kind: &PKind, children: usize) {
         self.slots += 1;
@@ -350,9 +335,6 @@ mod tests {
                 trees: 1
             }
         );
-        let mut counted = Shape::default();
-        counted.add_pdocument(&p, NodeId(0), |_| true);
-        assert_eq!(counted, f.shape());
     }
 
     #[test]
@@ -372,9 +354,6 @@ mod tests {
         let t = f.tree(0);
         let exp = (0..t.len()).find(|&v| t.kind[v] == Slot::Exp).unwrap();
         assert_eq!(t.exp_table(exp), &[(0b01, 0.5), (0b11, 0.5)]);
-        let mut counted = Shape::default();
-        counted.add_pdocument(&p, NodeId(0), |n| n != NodeId(1));
-        assert_eq!(counted, f.shape());
     }
 
     #[test]
