@@ -16,12 +16,10 @@ pub fn eval_tp(pdoc: &PDocument, q: &TreePattern) -> Vec<(NodeId, f64)> {
     let forest = Forest::of_pdocument(pdoc, pdoc.root());
     let candidates = candidates_in(&forest, q);
     span.record("candidates", candidates.len() as u64);
-    let mut conj = Conjunction::pinned(&[(q, pdoc.root())]);
     let mut kernel = Kernel::default();
     let mut out = Vec::with_capacity(candidates.len());
     for n in candidates {
-        conj.pin_to(n);
-        let p = kernel.probability(&forest, 0, &conj);
+        let p = kernel.probability(&forest, 0, &Conjunction::pinned(&[(q, n)]));
         if p > 0.0 {
             out.push((n, p));
         }

@@ -26,7 +26,10 @@
 //! `out(q)` with that pin as a `/`-child; the pinned pattern matches
 //! exactly when some embedding sends `out(q)` to `n`. Pins are virtual:
 //! the kernel plays the pin child's message at the target slot, so no
-//! document or pattern is copied per target.
+//! document or pattern is copied per target. A pin's node is fixed when
+//! the conjunction is compiled, or — for [`Conjunction::marked`] — named
+//! by each run ([`Kernel::probability_with_pin`]), so one compiled
+//! conjunction serves every target.
 //!
 //! ## One kernel
 //!
@@ -44,6 +47,7 @@ use pxv_pxml::forest::{Forest, Slot, Tree, NO_PARENT};
 use pxv_pxml::{Document, Label, NodeId, PDocument};
 use pxv_tpq::pattern::{Axis, TreePattern};
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Where a slot's pin child sits among its children.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,6 +62,9 @@ enum PinSite {
 /// `target` of a query node that is not a pin.
 const NOT_PIN: NodeId = NodeId(u32::MAX);
 
+/// `target` of a pin whose node each run names.
+const RUN_PIN: NodeId = NodeId(u32::MAX - 1);
+
 /// One compiled query node.
 #[derive(Clone, Copy, Debug)]
 struct QNode {
@@ -66,7 +73,8 @@ struct QNode {
     req: State,
     /// Label the node matches (never compared for a pin).
     label: Label,
-    /// The node a pin sits on; `NOT_PIN` for a node matching by label.
+    /// The node a pin sits on; `RUN_PIN` when each run names it,
+    /// `NOT_PIN` for a node matching by label.
     target: NodeId,
 }
 
@@ -76,6 +84,8 @@ struct QNode {
 pub struct Conjunction {
     nodes: Vec<QNode>,
     site: PinSite,
+    /// Whether a pin's node is named by each run.
+    run_pin: bool,
     /// `A` bits of the pattern roots.
     need: State,
     /// Every `B` bit.
@@ -95,6 +105,7 @@ impl Conjunction {
         Conjunction {
             nodes: Vec::new(),
             site,
+            run_pin: false,
             need: 0,
             b_all: 0,
         }
@@ -138,13 +149,15 @@ impl Conjunction {
         c
     }
 
-    /// `q` with a pin `/`-child under its output on `n`, sitting before the
-    /// node's children: what [`Conjunction::new`] compiles from `q` with
-    /// an extension's `Id(n)` marker label under its output, without
-    /// copying `q`.
-    pub fn marked(q: &TreePattern, n: NodeId) -> Conjunction {
-        let mut c = Conjunction::pinned(&[(q, n)]);
+    /// `q` with a pin `/`-child under its output, sitting before the
+    /// node's children, on the node each run names: what
+    /// [`Conjunction::new`] compiles from `q` with an extension's `Id(n)`
+    /// marker label under its output, for every `n` at once. Runs go
+    /// through [`Kernel::probability_with_pin`].
+    pub fn marked(q: &TreePattern) -> Conjunction {
+        let mut c = Conjunction::pinned(&[(q, RUN_PIN)]);
         c.site = PinSite::First;
+        c.run_pin = true;
         c
     }
 
@@ -181,23 +194,23 @@ impl Conjunction {
         );
     }
 
-    /// Moves the pins of a conjunction with one pin target to `n`.
-    pub fn pin_to(&mut self, n: NodeId) {
-        for node in self.nodes.iter_mut().filter(|x| x.target != NOT_PIN) {
-            node.target = n;
-        }
-    }
-
-    /// At an ordinary slot labeled `label` holding node `id`: the query
-    /// nodes matching its label, and the `A|B` bits of the pins on it.
-    fn at_slot(&self, label: Label, id: NodeId) -> (u64, State) {
+    /// At an ordinary slot labeled `label` holding node `id`, in a run
+    /// whose pin is on `run`: the query nodes matching its label, and the
+    /// `A|B` bits of the pins on it.
+    fn at_slot(&self, label: Label, id: NodeId, run: NodeId) -> (u64, State) {
         let (mut here, mut pin) = (0u64, 0);
         for (g, x) in self.nodes.iter().enumerate() {
-            if x.target == NOT_PIN {
-                if x.label == label {
-                    here |= 1 << g;
+            let on = match x.target {
+                NOT_PIN => {
+                    if x.label == label {
+                        here |= 1 << g;
+                    }
+                    continue;
                 }
-            } else if x.target == id {
+                RUN_PIN => run,
+                t => t,
+            };
+            if on == id {
                 pin |= a_bit(g) | b_bit(g);
             }
         }
@@ -223,7 +236,7 @@ impl Conjunction {
 
 /// The probability DP over one tree of a [`Forest`]; holds scratch
 /// buffers that every run reuses, so a warm kernel allocates nothing.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Kernel {
     /// Messages of processed slots whose parent is still pending, back to
     /// back, then the message being built and its operands.
@@ -235,22 +248,35 @@ pub struct Kernel {
     outer: Table,
 }
 
-impl Default for Kernel {
-    /// A kernel sized so that small trees run without growing a buffer.
-    fn default() -> Kernel {
-        Kernel {
-            msgs: Dist::with_capacity(24),
-            frames: Vec::with_capacity(16),
-            table: Table::with_capacity(16),
-            outer: Table::default(),
-        }
-    }
-}
-
 impl Kernel {
     /// Probability that every pattern of `conj` matches tree `t` of
-    /// `forest` with its root at the tree root.
+    /// `forest` with its root at the tree root. `conj`'s pins are on the
+    /// nodes it was compiled with.
     pub fn probability(&mut self, forest: &Forest, t: usize, conj: &Conjunction) -> f64 {
+        assert!(
+            !conj.run_pin,
+            "a run-pinned conjunction needs its pin's node"
+        );
+        self.run(forest, t, conj, NOT_PIN)
+    }
+
+    /// [`Kernel::probability`] for a conjunction from
+    /// [`Conjunction::marked`], its pin on `n`.
+    pub fn probability_with_pin(
+        &mut self,
+        forest: &Forest,
+        t: usize,
+        conj: &Conjunction,
+        n: NodeId,
+    ) -> f64 {
+        assert!(
+            conj.run_pin,
+            "only a run-pinned conjunction takes a pin's node"
+        );
+        self.run(forest, t, conj, n)
+    }
+
+    fn run(&mut self, forest: &Forest, t: usize, conj: &Conjunction, run: NodeId) -> f64 {
         let tree = forest.tree(t);
         self.msgs.clear();
         self.frames.clear();
@@ -262,7 +288,7 @@ impl Kernel {
                 below -= 1;
             }
             let at = self.msgs.len();
-            self.message(&tree, v, below, conj);
+            self.message(&tree, v, below, conj, run);
             // The message replaces the children's.
             let base = self.frames.get(below).map_or(at, |f| f.0);
             let len = self.msgs.len() - at;
@@ -282,7 +308,14 @@ impl Kernel {
 
     /// Appends slot `v`'s message to `msgs`, from its children's messages:
     /// those of the frames from `below` up, the first child on top.
-    fn message(&mut self, tree: &Tree<'_>, v: usize, below: usize, conj: &Conjunction) {
+    fn message(
+        &mut self,
+        tree: &Tree<'_>,
+        v: usize,
+        below: usize,
+        conj: &Conjunction,
+        run: NodeId,
+    ) {
         let Kernel {
             msgs,
             frames,
@@ -297,7 +330,7 @@ impl Kernel {
         };
         match tree.kind[v] {
             Slot::Ordinary => {
-                let (here, pin) = conj.at_slot(tree.label[v], tree.id[v]);
+                let (here, pin) = conj.at_slot(tree.label[v], tree.id[v], run);
                 // A pin child before the children turns the empty start
                 // into the pin's certain state; a missing pin leaves it.
                 let first = if conj.site == PinSite::First { pin } else { 0 };
@@ -373,6 +406,41 @@ impl Kernel {
                 outer.append_to(msgs);
             }
         }
+    }
+}
+
+/// Kernels kept between runs by an owner that outlives many short
+/// evaluations (a view extension), so a run skips growing a new kernel's
+/// buffers. It holds at most one kernel per evaluation that ran at the
+/// same time; a clone starts empty.
+#[derive(Default)]
+pub struct KernelPool(Mutex<Vec<Kernel>>);
+
+impl KernelPool {
+    /// A kernel from the pool, or a new one.
+    pub fn take(&self) -> Kernel {
+        self.kernels().pop().unwrap_or_default()
+    }
+
+    /// Returns `kernel` to the pool.
+    pub fn put(&self, kernel: Kernel) {
+        self.kernels().push(kernel);
+    }
+
+    fn kernels(&self) -> MutexGuard<'_, Vec<Kernel>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for KernelPool {
+    fn clone(&self) -> KernelPool {
+        KernelPool::default()
+    }
+}
+
+impl std::fmt::Debug for KernelPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KernelPool").finish_non_exhaustive()
     }
 }
 
@@ -525,11 +593,33 @@ mod tests {
         let p = parse_pdocument("a#0[b#1, mux#2(0.25: b#3)]").unwrap();
         let forest = Forest::of_pdocument(&p, p.root());
         let pattern = q("a/b");
-        let mut conj = Conjunction::pinned(&[(&pattern, NodeId(3))]);
         let mut kernel = Kernel::default();
-        assert!((kernel.probability(&forest, 0, &conj) - 0.25).abs() < 1e-12);
-        conj.pin_to(NodeId(1));
-        assert!((kernel.probability(&forest, 0, &conj) - 1.0).abs() < 1e-12);
+        let fixed = |n| Conjunction::pinned(&[(&pattern, n)]);
+        assert!((kernel.probability(&forest, 0, &fixed(NodeId(3))) - 0.25).abs() < 1e-12);
+        assert!((kernel.probability(&forest, 0, &fixed(NodeId(1))) - 1.0).abs() < 1e-12);
+        // One run-pinned conjunction, its pin named by each run.
+        let marked = Conjunction::marked(&pattern);
+        for (n, want) in [(3, 0.25), (1, 1.0), (0, 0.0)] {
+            let got = kernel.probability_with_pin(&forest, 0, &marked, NodeId(n));
+            assert!((got - want).abs() < 1e-12, "pin on n{n}: {got}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs its pin's node")]
+    fn a_run_pinned_conjunction_needs_a_pin() {
+        let p = parse_pdocument("a#0[b#1]").unwrap();
+        let forest = Forest::of_pdocument(&p, p.root());
+        Kernel::default().probability(&forest, 0, &Conjunction::marked(&q("a/b")));
+    }
+
+    #[test]
+    #[should_panic(expected = "only a run-pinned conjunction")]
+    fn a_fixed_conjunction_takes_no_pin() {
+        let p = parse_pdocument("a#0[b#1]").unwrap();
+        let forest = Forest::of_pdocument(&p, p.root());
+        let fixed = Conjunction::pinned(&[(&q("a/b"), NodeId(1))]);
+        Kernel::default().probability_with_pin(&forest, 0, &fixed, NodeId(1));
     }
 
     #[test]

@@ -94,16 +94,24 @@ impl Shape {
             + self.trees * size_of::<usize>()
     }
 
-    /// Counts one distributional slot of `kind` with `children` children.
-    pub fn add_distributional(&mut self, kind: &PKind, children: usize) {
-        self.slots += 1;
+    /// Counts one p-document node of `kind` with `children` children the
+    /// way [`Forest::push_pdocument`] lays it out: an ordinary node is a
+    /// slot when it is `kept`; a distributional node always is, with its
+    /// parameters. The one statement of that rule: `push_pdocument` checks
+    /// its layout against it.
+    pub fn add_node(&mut self, kind: &PKind, kept: bool, children: usize) {
         match kind {
-            PKind::Mux | PKind::Ind => self.edge_probs += children,
+            PKind::Ordinary(_) => self.slots += usize::from(kept),
+            PKind::Mux | PKind::Ind => {
+                self.slots += 1;
+                self.edge_probs += children;
+            }
+            PKind::Det => self.slots += 1,
             PKind::Exp(table) => {
+                self.slots += 1;
                 self.exp_tables += 1;
                 self.exp_entries += table.len();
             }
-            PKind::Det | PKind::Ordinary(_) => {}
         }
     }
 }
@@ -147,11 +155,14 @@ impl Forest {
         id_of: impl Fn(NodeId) -> Option<NodeId>,
     ) {
         let start = self.id.len();
+        let mut counted = self.shape();
+        counted.trees += 1;
         self.starts.push(start);
         let root_label = pdoc.label(root).expect("tree roots are ordinary");
         let mut stack = vec![(root, NO_PARENT, root_label)];
         while let Some((n, parent, above)) = stack.pop() {
             let kids = pdoc.children(n);
+            let before = self.id.len();
             let (below, label) = match pdoc.kind(n) {
                 PKind::Ordinary(label) => match id_of(n) {
                     Some(id) => (self.push_slot(id, *label, parent, Slot::Ordinary), *label),
@@ -176,9 +187,11 @@ impl Forest {
                     (self.push_slot(at, above, parent, Slot::Exp), above)
                 }
             };
+            counted.add_node(pdoc.kind(n), self.id.len() > before, kids.len());
             stack.extend(kids.iter().rev().map(|&c| (c, below, label)));
         }
         debug_assert!(self.id.len() > start, "the root is kept");
+        debug_assert_eq!(self.shape(), counted, "the layout follows Shape::add_node");
     }
 
     /// Appends one slot to the last tree; returns its tree-relative index.

@@ -50,18 +50,17 @@ fn descend_plan(root_label: pxv_pxml::Label, sub: &TreePattern) -> TreePattern {
     q
 }
 
-/// `fr` of one TP-rewriting over one extension, compiled once: the
-/// compensation with a pin under its output, and the DP scratch. Every DP
-/// runs on the extension's forest at a result root (see
-/// [`ProbExtension::forest`]), and the view-only denominator comes from
-/// [`ProbExtension::denominators`]: no result subtree or pattern is
-/// copied per node.
+/// `fr` of one TP-rewriting over one extension: the rewriting's compiled
+/// conjunction (the compensation with a pin under its output, whose node
+/// each run names) and a DP kernel borrowed from the extension's pool
+/// until the `Fr` is dropped. Every DP runs on the extension's forest at
+/// a result root (see [`ProbExtension::forest`]), and the view-only
+/// denominator comes from [`ProbExtension::denominators`]: no result
+/// subtree or pattern is copied or compiled per node, and a warm `fr`
+/// allocates only its ancestor list.
 pub(crate) struct Fr<'a> {
     rw: &'a TpRewriting,
     ext: &'a ProbExtension,
-    /// `rw.compensation` with an `Id(·)` pin under its output; retargeted
-    /// per node.
-    pinned: Conjunction,
     kernel: Kernel,
 }
 
@@ -70,15 +69,15 @@ impl<'a> Fr<'a> {
         Fr {
             rw,
             ext,
-            pinned: Conjunction::marked(&rw.compensation, ext.pdoc.root()),
-            kernel: Kernel::default(),
+            kernel: ext.kernels.take(),
         }
     }
 
     /// `Pr(n ∈ q_(k)(P̂^{n_i}_v))` inside the subtree of result `i`.
     pub(crate) fn numerator(&mut self, i: usize, n: NodeId) -> f64 {
-        self.pinned.pin_to(n);
-        self.kernel.probability(self.ext.forest(), i, &self.pinned)
+        let forest = self.ext.forest();
+        self.kernel
+            .probability_with_pin(forest, i, &self.rw.pinned, n)
     }
 
     /// `fr(n)`.
@@ -134,6 +133,12 @@ impl<'a> Fr<'a> {
     }
 }
 
+impl Drop for Fr<'_> {
+    fn drop(&mut self) {
+        self.ext.kernels.put(std::mem::take(&mut self.kernel));
+    }
+}
+
 /// The conjunction behind `Pr(⋂_{i ∈ S} e_i)`, to be matched at the root
 /// of the shallowest ancestor's result subtree: the compensation, plus an
 /// α member per deeper ancestor re-testing the last token (or its visible
@@ -180,8 +185,9 @@ fn joint_patterns(
 }
 
 /// `fr(n)` for an accepted TP-rewriting: `Pr(n ∈ q(P))` computed from the
-/// view extension alone. Compiles the rewriting per call (O(|q|));
-/// [`answer_tp`] compiles it once for all candidates.
+/// view extension alone. The same work per node as [`answer_tp`] does for
+/// each of its candidates: the rewriting is compiled when it is made, and
+/// the kernel comes from the extension's pool.
 pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
     Fr::new(rw, ext).at(n)
 }
@@ -355,11 +361,11 @@ mod tests {
             for n in ext.candidates(&rw.compensation) {
                 let anc = ext.results_containing(n);
                 check(anc[0], &[mark_output(&rw.compensation, n)]);
-                let marked = Conjunction::marked(&rw.compensation, n);
                 let named = Conjunction::new(&[mark_output(&rw.compensation, n)], parse_id_label);
                 let mut k = Kernel::default();
                 assert_eq!(
-                    k.probability(ext.forest(), anc[0], &marked).to_bits(),
+                    k.probability_with_pin(ext.forest(), anc[0], &rw.pinned, n)
+                        .to_bits(),
                     k.probability(ext.forest(), anc[0], &named).to_bits()
                 );
                 for mask in 1u32..(1 << anc.len()) {

@@ -15,6 +15,7 @@
 
 use crate::cindep::c_independent;
 use crate::view::View;
+use pxv_peval::dp::Conjunction;
 use pxv_tpq::compose::comp;
 use pxv_tpq::containment::equivalent;
 use pxv_tpq::pattern::{max_prefix_suffix, TreePattern};
@@ -34,6 +35,9 @@ pub struct TpRewriting {
     pub restricted: bool,
     /// Maximal prefix-suffix length of the view's last token (§4.4).
     pub u: usize,
+    /// `compensation` with a pin under its output, compiled once for the
+    /// DP of every `fr` over this plan (see [`crate::fr_tp`]).
+    pub(crate) pinned: Conjunction,
 }
 
 /// Why a view was rejected for a probabilistic TP-rewriting (diagnostics
@@ -92,6 +96,7 @@ pub fn try_view(
     Ok(TpRewriting {
         view_index,
         k,
+        pinned: Conjunction::marked(&compensation),
         compensation,
         restricted,
         u,

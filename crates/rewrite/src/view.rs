@@ -14,7 +14,7 @@
 //! edge probabilities and (ii) probabilities computed *within a single
 //! result subtree*, exactly as the paper's `fr` constructions do.
 
-use pxv_peval::dp::{Conjunction, Kernel};
+use pxv_peval::dp::{Conjunction, Kernel, KernelPool};
 use pxv_pxml::forest::{Forest, Shape};
 use pxv_pxml::{Document, Edit, EditEffect, Label, NodeId, PDocument, PKind};
 use pxv_tpq::embed::Embedder;
@@ -158,6 +158,9 @@ pub struct ProbExtension {
     /// What `forest` holds, counted when the extension is assembled, so
     /// its charge is known before it is filled.
     forest_shape: Shape,
+    /// DP scratch lent to every `fr` over this extension (see
+    /// `crate::fr_tp`). Not data: never serialized, never charged.
+    pub(crate) kernels: KernelPool,
 }
 
 impl ProbExtension {
@@ -309,6 +312,7 @@ impl ProbExtension {
                 denominators: OnceLock::new(),
                 forest: OnceLock::new(),
                 forest_shape: self.forest_shape,
+                kernels: KernelPool::default(),
             },
             DeltaOutcome::Incremental { reused, recomputed },
         )
@@ -332,14 +336,12 @@ impl ProbExtension {
             let mut stack = vec![r.ext_root];
             while let Some(n) = stack.pop() {
                 let kids = pdoc.children(n);
-                if let Some(&orig) = orig_of.get(&n) {
+                let orig = orig_of.get(&n);
+                if let Some(&orig) = orig {
                     by_orig.entry(orig).or_default().push((i, n));
-                    forest_shape.slots += 1;
-                } else if !kids.is_empty() {
-                    // Not a marker (those are leaves) but a distributional
-                    // node (never a leaf in a valid p-document).
-                    forest_shape.add_distributional(pdoc.kind(n), kids.len());
                 }
+                // `forest` keeps the ordinary nodes with an original id.
+                forest_shape.add_node(pdoc.kind(n), orig.is_some(), kids.len());
                 stack.extend_from_slice(kids);
             }
         }
@@ -352,6 +354,7 @@ impl ProbExtension {
             denominators: OnceLock::new(),
             forest: OnceLock::new(),
             forest_shape,
+            kernels: KernelPool::default(),
         }
     }
 
