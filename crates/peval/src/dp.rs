@@ -47,7 +47,7 @@ use pxv_pxml::forest::{Forest, Slot, Tree, NO_PARENT};
 use pxv_pxml::{Document, Label, NodeId, PDocument};
 use pxv_tpq::pattern::{Axis, TreePattern};
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// Where a slot's pin child sits among its children.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -409,38 +409,63 @@ impl Kernel {
     }
 }
 
-/// Kernels kept between runs by an owner that outlives many short
+/// One kernel kept between runs by an owner that outlives many short
 /// evaluations (a view extension), so a run skips growing a new kernel's
-/// buffers. It holds at most one kernel per evaluation that ran at the
-/// same time; a clone starts empty.
+/// buffers. An evaluation that finds it lent out gets a new kernel; a
+/// clone starts with a new one.
 #[derive(Default)]
-pub struct KernelPool(Mutex<Vec<Kernel>>);
+pub struct SharedKernel(Mutex<Kernel>);
 
-impl KernelPool {
-    /// A kernel from the pool, or a new one.
-    pub fn take(&self) -> Kernel {
-        self.kernels().pop().unwrap_or_default()
-    }
+/// A kernel lent by a [`SharedKernel`] until dropped, or a new one.
+pub enum Lent<'a> {
+    /// The shared kernel.
+    Shared(MutexGuard<'a, Kernel>),
+    /// A new kernel, the shared one being lent out.
+    Own(Kernel),
+}
 
-    /// Returns `kernel` to the pool.
-    pub fn put(&self, kernel: Kernel) {
-        self.kernels().push(kernel);
-    }
-
-    fn kernels(&self) -> MutexGuard<'_, Vec<Kernel>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+impl SharedKernel {
+    /// The shared kernel if it is free, else a new one. Never blocks.
+    pub fn lend(&self) -> Lent<'_> {
+        match self.0.try_lock() {
+            Ok(k) => Lent::Shared(k),
+            // A run starts by clearing its buffers, so a kernel a panic
+            // left behind is as good as any.
+            Err(TryLockError::Poisoned(e)) => Lent::Shared(e.into_inner()),
+            Err(TryLockError::WouldBlock) => Lent::Own(Kernel::default()),
+        }
     }
 }
 
-impl Clone for KernelPool {
-    fn clone(&self) -> KernelPool {
-        KernelPool::default()
+impl Clone for SharedKernel {
+    fn clone(&self) -> SharedKernel {
+        SharedKernel::default()
     }
 }
 
-impl std::fmt::Debug for KernelPool {
+impl std::fmt::Debug for SharedKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KernelPool").finish_non_exhaustive()
+        f.debug_struct("SharedKernel").finish_non_exhaustive()
+    }
+}
+
+impl std::ops::Deref for Lent<'_> {
+    type Target = Kernel;
+
+    fn deref(&self) -> &Kernel {
+        match self {
+            Lent::Shared(k) => k,
+            Lent::Own(k) => k,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Lent<'_> {
+    fn deref_mut(&mut self) -> &mut Kernel {
+        match self {
+            Lent::Shared(k) => k,
+            Lent::Own(k) => k,
+        }
     }
 }
 
@@ -620,6 +645,16 @@ mod tests {
         let forest = Forest::of_pdocument(&p, p.root());
         let fixed = Conjunction::pinned(&[(&q("a/b"), NodeId(1))]);
         Kernel::default().probability_with_pin(&forest, 0, &fixed, NodeId(1));
+    }
+
+    #[test]
+    fn a_lent_kernel_is_not_shared() {
+        let shared = SharedKernel::default();
+        let first = shared.lend();
+        assert!(matches!(first, Lent::Shared(_)));
+        assert!(matches!(shared.lend(), Lent::Own(_)), "in use: a new one");
+        drop(first);
+        assert!(matches!(shared.lend(), Lent::Shared(_)), "returned on drop");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::tp_rewrite::TpRewriting;
 use crate::view::{id_label, parse_id_label, ProbExtension};
-use pxv_peval::dp::{Conjunction, Kernel};
+use pxv_peval::dp::{Conjunction, Lent};
 use pxv_pxml::NodeId;
 use pxv_tpq::compose::comp;
 use pxv_tpq::pattern::{Axis, TreePattern};
@@ -52,8 +52,8 @@ fn descend_plan(root_label: pxv_pxml::Label, sub: &TreePattern) -> TreePattern {
 
 /// `fr` of one TP-rewriting over one extension: the rewriting's compiled
 /// conjunction (the compensation with a pin under its output, whose node
-/// each run names) and a DP kernel borrowed from the extension's pool
-/// until the `Fr` is dropped. Every DP runs on the extension's forest at
+/// each run names) and the extension's DP kernel, lent until the `Fr` is
+/// dropped. Every DP runs on the extension's forest at
 /// a result root (see [`ProbExtension::forest`]), and the view-only
 /// denominator comes from [`ProbExtension::denominators`]: no result
 /// subtree or pattern is copied or compiled per node, and a warm `fr`
@@ -61,7 +61,7 @@ fn descend_plan(root_label: pxv_pxml::Label, sub: &TreePattern) -> TreePattern {
 pub(crate) struct Fr<'a> {
     rw: &'a TpRewriting,
     ext: &'a ProbExtension,
-    kernel: Kernel,
+    kernel: Lent<'a>,
 }
 
 impl<'a> Fr<'a> {
@@ -69,7 +69,7 @@ impl<'a> Fr<'a> {
         Fr {
             rw,
             ext,
-            kernel: ext.kernels.take(),
+            kernel: ext.kernel.lend(),
         }
     }
 
@@ -133,12 +133,6 @@ impl<'a> Fr<'a> {
     }
 }
 
-impl Drop for Fr<'_> {
-    fn drop(&mut self) {
-        self.ext.kernels.put(std::mem::take(&mut self.kernel));
-    }
-}
-
 /// The conjunction behind `Pr(⋂_{i ∈ S} e_i)`, to be matched at the root
 /// of the shallowest ancestor's result subtree: the compensation, plus an
 /// α member per deeper ancestor re-testing the last token (or its visible
@@ -187,7 +181,7 @@ fn joint_patterns(
 /// `fr(n)` for an accepted TP-rewriting: `Pr(n ∈ q(P))` computed from the
 /// view extension alone. The same work per node as [`answer_tp`] does for
 /// each of its candidates: the rewriting is compiled when it is made, and
-/// the kernel comes from the extension's pool.
+/// the kernel is the extension's.
 pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
     Fr::new(rw, ext).at(n)
 }
@@ -321,6 +315,7 @@ mod tests {
     /// the numerator of Theorem 1 and every joint event of Eq. 1.
     #[test]
     fn virtual_markers_are_bit_identical_to_marker_slots() {
+        use pxv_peval::dp::Kernel;
         use pxv_pxml::forest::Forest;
         let nested =
             parse_pdocument("a#0[b#1[ind#2(0.7: b#3[mux#4(0.6: c#5)]), mux#6(0.3: c#7)]]").unwrap();

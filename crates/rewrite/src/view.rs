@@ -14,7 +14,7 @@
 //! edge probabilities and (ii) probabilities computed *within a single
 //! result subtree*, exactly as the paper's `fr` constructions do.
 
-use pxv_peval::dp::{Conjunction, Kernel, KernelPool};
+use pxv_peval::dp::{Conjunction, Kernel, SharedKernel};
 use pxv_pxml::forest::{Forest, Shape};
 use pxv_pxml::{Document, Edit, EditEffect, Label, NodeId, PDocument, PKind};
 use pxv_tpq::embed::Embedder;
@@ -158,9 +158,9 @@ pub struct ProbExtension {
     /// What `forest` holds, counted when the extension is assembled, so
     /// its charge is known before it is filled.
     forest_shape: Shape,
-    /// DP scratch lent to every `fr` over this extension (see
+    /// DP scratch lent to the `fr` evaluations over this extension (see
     /// `crate::fr_tp`). Not data: never serialized, never charged.
-    pub(crate) kernels: KernelPool,
+    pub(crate) kernel: SharedKernel,
 }
 
 impl ProbExtension {
@@ -312,7 +312,7 @@ impl ProbExtension {
                 denominators: OnceLock::new(),
                 forest: OnceLock::new(),
                 forest_shape: self.forest_shape,
-                kernels: KernelPool::default(),
+                kernel: SharedKernel::default(),
             },
             DeltaOutcome::Incremental { reused, recomputed },
         )
@@ -354,7 +354,7 @@ impl ProbExtension {
             denominators: OnceLock::new(),
             forest: OnceLock::new(),
             forest_shape,
-            kernels: KernelPool::default(),
+            kernel: SharedKernel::default(),
         }
     }
 
