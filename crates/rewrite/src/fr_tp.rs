@@ -53,10 +53,10 @@ fn descend_plan(root_label: pxv_pxml::Label, sub: &TreePattern) -> TreePattern {
 /// `fr` of one TP-rewriting over one extension: the rewriting's compiled
 /// conjunction (the compensation with a pin under its output, whose node
 /// each run names) and the extension's DP kernel, lent until the `Fr` is
-/// dropped. Every DP runs on the extension's forest at
-/// a result root (see [`ProbExtension::forest`]), and the view-only
-/// denominator comes from [`ProbExtension::denominators`]: no result
-/// subtree or pattern is copied or compiled per node, and a warm `fr`
+/// dropped. Every DP runs on the extension's forest at a result root (see
+/// [`ProbExtension::forest`]), and the view-only denominator comes from
+/// [`ProbExtension::denominators`]: no result subtree or pattern is
+/// copied or compiled per node, and a warm single-ancestor `fr`
 /// allocates only its ancestor list.
 pub(crate) struct Fr<'a> {
     rw: &'a TpRewriting,
