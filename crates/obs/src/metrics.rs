@@ -152,23 +152,6 @@ impl Histogram {
     }
 }
 
-/// Escapes a Prometheus label *value* for embedding between double
-/// quotes: backslash, double quote, and newline are the three
-/// characters the text exposition format requires escaping
-/// (`\\`, `\"`, `\n`). Everything else passes through untouched.
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Whether `name` is a well-formed metric name under the workspace
 /// scheme: `pxv_` followed by lowercase ASCII, digits and underscores.
 pub fn valid_metric_name(name: &str) -> bool {
@@ -328,31 +311,6 @@ impl Exposition {
         self.sample(name, "", value);
     }
 
-    /// Appends one counter sample carrying labels; label values are
-    /// escaped with [`escape_label_value`], so arbitrary strings (view
-    /// names, file paths) are safe to expose.
-    pub fn counter_labeled(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.header(name, help, "counter");
-        self.labeled_sample(name, labels, value);
-    }
-
-    fn labeled_sample(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.out.push_str(name);
-        self.out.push('{');
-        for (i, (key, label_value)) in labels.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            self.out.push_str(key);
-            self.out.push_str("=\"");
-            self.out.push_str(&escape_label_value(label_value));
-            self.out.push('"');
-        }
-        self.out.push_str("} ");
-        self.out.push_str(&value.to_string());
-        self.out.push('\n');
-    }
-
     /// Appends one gauge.
     pub fn gauge(&mut self, name: &str, help: &str, value: u64) {
         self.header(name, help, "gauge");
@@ -476,31 +434,6 @@ mod tests {
         let r = Registry::new();
         let _ = r.counter("pxv_test_x", "X.");
         let _ = r.gauge("pxv_test_x", "X.");
-    }
-
-    #[test]
-    fn label_values_are_escaped() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(
-            escape_label_value("a\\b \"quoted\"\nnext"),
-            "a\\\\b \\\"quoted\\\"\\nnext"
-        );
-        let mut x = Exposition::new();
-        x.counter_labeled(
-            "pxv_test_views_total",
-            "Per-view hits.",
-            &[("view", "v1\"BON\"\\path\nx"), ("doc", "hr")],
-            4,
-        );
-        let text = x.finish();
-        let sample = text.lines().last().unwrap();
-        assert_eq!(
-            sample,
-            "pxv_test_views_total{view=\"v1\\\"BON\\\"\\\\path\\nx\",doc=\"hr\"} 4"
-        );
-        assert!(!sample.contains('\r'));
-        // The escaped sample is still one line: no raw newline leaked.
-        assert_eq!(text.lines().count(), 3, "# HELP, # TYPE, sample");
     }
 
     /// Golden test: the exposition output for a fixed registry is

@@ -166,17 +166,6 @@ impl Document {
         pre
     }
 
-    /// All nodes in the subtree rooted at `n` (including `n`).
-    pub fn subtree_nodes(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![n];
-        while let Some(m) = stack.pop() {
-            out.push(m);
-            stack.extend(self.children(m).iter().copied());
-        }
-        out
-    }
-
     /// The subdocument `d_n` rooted at `n` (§2), preserving node ids.
     pub fn subtree(&self, n: NodeId) -> Document {
         let mut doc = Document::with_root_id(self.label(n), n);
@@ -219,19 +208,6 @@ impl Document {
     /// depth from 1).
     pub fn depth(&self, n: NodeId) -> usize {
         self.root_path(n).len()
-    }
-
-    /// Grafts a copy of `other` (preserving its node ids) under `parent`.
-    /// Panics on id collisions.
-    pub fn graft(&mut self, parent: NodeId, other: &Document) {
-        self.add_child_with_id(parent, other.label(other.root()), other.root());
-        let mut stack = vec![other.root()];
-        while let Some(m) = stack.pop() {
-            for &c in other.children(m) {
-                self.add_child_with_id(m, other.label(c), c);
-                stack.push(c);
-            }
-        }
     }
 
     /// A canonical key identifying this document by its node-id set
@@ -365,16 +341,5 @@ mod tests {
         assert!(d1.structurally_equal(&d2));
         d2.add_child(b2, l("y"));
         assert!(!d1.structurally_equal(&d2));
-    }
-
-    #[test]
-    fn graft_copies_with_ids() {
-        let mut host = Document::with_root_id(l("doc"), NodeId(0));
-        let mut part = Document::with_root_id(l("b"), NodeId(10));
-        part.add_child_with_id(NodeId(10), l("c"), NodeId(11));
-        host.graft(host.root(), &part);
-        assert!(host.contains(NodeId(10)));
-        assert!(host.contains(NodeId(11)));
-        assert_eq!(host.parent(NodeId(10)), Some(NodeId(0)));
     }
 }

@@ -41,7 +41,7 @@ pub struct AlignPos {
 
 /// All alignments of `q1` and `q2` (merges of their main branches with
 /// coalesced roots and outputs). `None` if more than `cap` alignments.
-pub fn alignments(q1: &TreePattern, q2: &TreePattern, cap: usize) -> Option<Vec<Vec<AlignPos>>> {
+fn alignments(q1: &TreePattern, q2: &TreePattern, cap: usize) -> Option<Vec<Vec<AlignPos>>> {
     let mb1 = q1.main_branch();
     let mb2 = q2.main_branch();
     if q1.label(mb1[0]) != q2.label(mb2[0]) {
@@ -307,18 +307,6 @@ pub fn c_independent(q1: &TreePattern, q2: &TreePattern) -> bool {
     true
 }
 
-/// Pairwise c-independence of a family of patterns (§5.2).
-pub fn pairwise_c_independent(qs: &[TreePattern]) -> bool {
-    for i in 0..qs.len() {
-        for j in i + 1..qs.len() {
-            if !c_independent(&qs[i], &qs[j]) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Numerically checks the c-independence identity on one p-document, for
 /// every ordinary node (test/validation helper; exponential — enumeration).
 pub fn identity_holds_on(pdoc: &PDocument, q1: &TreePattern, q2: &TreePattern, tol: f64) -> bool {
@@ -382,12 +370,6 @@ mod tests {
         assert!(c_independent(&v1, &v4));
         assert!(c_independent(&v2, &v4));
         assert!(c_independent(&v3, &v4));
-        assert!(!pairwise_c_independent(&[
-            v1.clone(),
-            v2.clone(),
-            v4.clone()
-        ]));
-        assert!(pairwise_c_independent(&[v1, v4]));
     }
 
     #[test]

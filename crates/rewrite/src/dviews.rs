@@ -22,7 +22,7 @@ use pxv_tpq::pattern::TreePattern;
 
 /// Steps 1–3 for a single view pattern (also applied to the query itself
 /// to obtain `Wq`).
-pub fn decompose(v: &TreePattern, q: &TreePattern) -> Vec<TreePattern> {
+fn decompose(v: &TreePattern, q: &TreePattern) -> Vec<TreePattern> {
     let ranges = v.token_ranges();
     let (ft_lo, ft_hi) = ranges[0];
     let (lt_lo, lt_hi) = *ranges.last().expect("at least one token");

@@ -9,12 +9,13 @@
 //! * [`tp_rewrite`](mod@tp_rewrite) / [`fr_tp`] — the **TPrewrite** algorithm (Fig. 6) and
 //!   the probability functions of §4 (Thm. 1 restricted plans, Thm. 2
 //!   inclusion–exclusion with α patterns);
-//! * [`tpi_rewrite`](mod@tpi_rewrite) — product-form TP∩-rewritings from pairwise
-//!   c-independent views (Thm. 3, Lemma 3) and the NP-hard cover search
+//! * [`tpi_rewrite`](mod@tpi_rewrite) — the virtual views a TP∩ plan
+//!   intersects and the NP-hard search for a pairwise c-independent cover
 //!   (Thm. 4, gadgets in [`hardness`]);
 //! * [`dviews`] / [`system`] — view decompositions and the `S(q,V)`
 //!   log-linear system (Thm. 5, Prop. 5), solved exactly over rationals
-//!   ([`rational`]);
+//!   ([`rational`]); Thm. 3's product for pairwise c-independent views is
+//!   its special case;
 //! * [`tpi_algorithm`] — **TPIrewrite** (Fig. 7) with compensated views
 //!   (Prop. 6);
 //! * [`answer`] — the end-to-end planner/executor that answers queries
@@ -24,7 +25,6 @@
 
 pub mod answer;
 pub mod cindep;
-pub mod det_answer;
 pub mod dviews;
 pub mod explain;
 pub mod fr_tp;

@@ -16,9 +16,9 @@
 
 use pxv_peval::dp::{Conjunction, Kernel, SharedKernel};
 use pxv_pxml::forest::{Forest, Shape};
-use pxv_pxml::{Document, Edit, EditEffect, Label, NodeId, PDocument, PKind};
+use pxv_pxml::{Edit, EditEffect, Label, NodeId, PDocument, PKind};
 use pxv_tpq::embed::Embedder;
-use pxv_tpq::pattern::{Axis, TreePattern};
+use pxv_tpq::pattern::TreePattern;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
 
@@ -63,29 +63,6 @@ pub fn parse_id_label(l: Label) -> Option<NodeId> {
     let s = l.name();
     let inner = s.strip_prefix("Id(")?.strip_suffix(')')?;
     inner.parse::<u32>().ok().map(NodeId)
-}
-
-/// Builds the plan pattern `doc(v)/…` from a compensation whose root is
-/// `lbl(v)`: a fresh `doc(v)` root with the compensation grafted below via
-/// a `/`-edge; the output is the compensation's output.
-pub fn doc_plan(view: &View, compensation: &TreePattern) -> TreePattern {
-    let mut q = TreePattern::leaf(view.doc_label());
-    let root = q.root();
-    // Manual graft tracking the output image.
-    let top = q.add_child(root, Axis::Child, compensation.label(compensation.root()));
-    let mut map = vec![pxv_tpq::QNodeId(u32::MAX); compensation.len()];
-    map[compensation.root().0 as usize] = top;
-    let mut stack = vec![compensation.root()];
-    while let Some(n) = stack.pop() {
-        let d = map[n.0 as usize];
-        for &c in compensation.children(n) {
-            let dc = q.add_child(d, compensation.axis(c), compensation.label(c));
-            map[c.0 as usize] = dc;
-            stack.push(c);
-        }
-    }
-    q.set_output(map[compensation.output().0 as usize]);
-    q
 }
 
 /// One view result bundled in an extension.
@@ -358,11 +335,6 @@ impl ProbExtension {
         }
     }
 
-    /// The result whose selected original node is `orig`.
-    pub fn result_for(&self, orig: NodeId) -> Option<&ViewResult> {
-        self.results.iter().find(|r| r.orig == orig)
-    }
-
     /// Indices of results whose subtree contains (an occurrence of)
     /// original node `orig` — i.e. results selecting an ancestor-or-self of
     /// `orig`, shallowest first.
@@ -425,8 +397,8 @@ impl ProbExtension {
 
     /// The result subtree `P̂^{n_i}_v` as a standalone p-document
     /// (markers included). This *copies* the subtree; query evaluation
-    /// never calls it — the `fr` functions run their DPs in place at
-    /// `results[i].ext_root` on [`ProbExtension::pdoc`].
+    /// never calls it — the `fr` functions run their DPs on tree `i` of
+    /// [`ProbExtension::forest`].
     pub fn result_subtree(&self, i: usize) -> PDocument {
         self.pdoc.subtree(self.results[i].ext_root)
     }
@@ -742,82 +714,14 @@ fn copy_subtree_with_markers(
     ext_root
 }
 
-/// Deterministic view extension `d_v` (§3) with `Id(·)` markers.
-#[derive(Clone, Debug)]
-pub struct DetExtension {
-    /// The view.
-    pub view: View,
-    /// The extension document.
-    pub doc: Document,
-    /// `(extension subtree root, original node)` per result.
-    pub results: Vec<(NodeId, NodeId)>,
-    orig_of: HashMap<NodeId, NodeId>,
-}
-
-impl DetExtension {
-    /// Materializes `d_v` from a deterministic document.
-    pub fn materialize(d: &Document, view: &View) -> DetExtension {
-        let answers = pxv_tpq::embed::eval(&view.pattern, d);
-        let mut doc = Document::new(view.doc_label());
-        let mut orig_of = HashMap::new();
-        let mut results = Vec::with_capacity(answers.len());
-        for orig in answers {
-            let root = doc.root();
-            let ext_root = {
-                let r = doc.add_child(root, d.label(orig));
-                orig_of.insert(r, orig);
-                doc.add_child(r, id_label(orig));
-                let mut stack = vec![(orig, r)];
-                while let Some((s, dd)) = stack.pop() {
-                    for &c in d.children(s) {
-                        let dc = doc.add_child(dd, d.label(c));
-                        orig_of.insert(dc, c);
-                        doc.add_child(dc, id_label(c));
-                        stack.push((c, dc));
-                    }
-                }
-                r
-            };
-            results.push((ext_root, orig));
-        }
-        DetExtension {
-            view: view.clone(),
-            doc,
-            results,
-            orig_of,
-        }
-    }
-
-    /// Original id of an extension node.
-    pub fn original_of(&self, ext_node: NodeId) -> Option<NodeId> {
-        self.orig_of.get(&ext_node).copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pxv_pxml::examples_paper::{fig1_dper, fig2_pper};
+    use pxv_pxml::examples_paper::fig2_pper;
     use pxv_tpq::parse::parse_pattern;
 
     fn v(name: &str, s: &str) -> View {
         View::new(name, parse_pattern(s).unwrap())
-    }
-
-    #[test]
-    fn example_7_det_extension() {
-        // (dPER)_{v1BON}: one result subtree rooted at a copy of n5.
-        let d = fig1_dper();
-        let v1 = v("v1BON", "IT-personnel//person[name/Rick]/bonus");
-        let ext = DetExtension::materialize(&d, &v1);
-        assert_eq!(ext.results.len(), 1);
-        assert_eq!(ext.results[0].1, NodeId(5));
-        assert_eq!(ext.doc.label(ext.doc.root()), Label::new("doc(v1BON)"));
-        // v2BON: two results (n5 and n7).
-        let v2 = v("v2BON", "IT-personnel//person/bonus");
-        let ext2 = DetExtension::materialize(&d, &v2);
-        let origs: Vec<NodeId> = ext2.results.iter().map(|&(_, o)| o).collect();
-        assert_eq!(origs, vec![NodeId(5), NodeId(7)]);
     }
 
     #[test]
@@ -888,16 +792,6 @@ mod tests {
         assert_eq!(l.name(), "Id(42)");
         assert_eq!(parse_id_label(l), Some(NodeId(42)));
         assert_eq!(parse_id_label(Label::new("bonus")), None);
-    }
-
-    #[test]
-    fn doc_plan_builds_rooted_pattern() {
-        let view = v("v1", "a//b[c]/d");
-        let compq = parse_pattern("d[e]/f").unwrap();
-        let plan = doc_plan(&view, &compq);
-        assert_eq!(plan.label(plan.root()), Label::new("doc(v1)"));
-        assert_eq!(plan.mb_len(), 3);
-        assert_eq!(plan.output_label().name(), "f");
     }
 
     /// Two extensions are equal field for field: same container document

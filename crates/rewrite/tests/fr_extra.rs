@@ -164,7 +164,7 @@ fn theorem_1_and_system_agree_when_both_apply() {
 #[test]
 fn product_and_system_agree_on_independent_views() {
     use pxv_rewrite::system::build_system;
-    use pxv_rewrite::tpi_rewrite::{answer_product, check_product_rewriting, VirtualView};
+    use pxv_rewrite::tpi_rewrite::VirtualView;
     let pdoc =
         parse_pdocument("a#0[ind#1(0.8: u#2), b#3[ind#4(0.9: w#5), mux#6(0.7: c#7)]]").unwrap();
     let q = p("a[u]/b[w]/c");
@@ -177,22 +177,18 @@ fn product_and_system_agree_on_independent_views() {
             VirtualView::from_extension(&ProbExtension::materialize(&pdoc, &v))
         })
         .collect();
-    // Theorem 3 product route.
-    let prw = check_product_rewriting(&q, &patterns, 1000).expect("Thm 3 applies");
-    let prod = answer_product(&prw, &vviews);
     // Theorem 5 system route.
     let sys = build_system(&q, &patterns);
     assert!(sys.is_solvable());
     let sysa = sys.answer(&vviews);
-    assert_eq!(prod.len(), sysa.len());
-    for ((n1, p1), (n2, p2)) in prod.iter().zip(&sysa) {
-        assert_eq!(n1, n2);
-        assert!((p1 - p2).abs() < 1e-9, "{p1} vs {p2}");
-    }
+    assert_eq!(sysa.len(), 1);
+    let (n, got) = sysa[0];
+    assert_eq!(n, NodeId(7));
+    // Theorem 3's product, with v2 = mb(q) giving Pr(n ∈ P) (Lemma 3).
+    let product = vviews[0].prob(n) * vviews[1].prob(n) / vviews[2].prob(n);
+    assert!((got - product).abs() < 1e-9, "{got} vs {product}");
     // And with ground truth 0.8·0.9·0.7.
-    assert_eq!(prod.len(), 1);
-    assert_eq!(prod[0].0, NodeId(7));
-    assert!((prod[0].1 - 0.8 * 0.9 * 0.7).abs() < 1e-9);
+    assert!((got - 0.8 * 0.9 * 0.7).abs() < 1e-9);
 }
 
 #[test]

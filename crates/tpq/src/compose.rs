@@ -52,11 +52,6 @@ pub fn comp(q1: &TreePattern, q2: &TreePattern) -> TreePattern {
     out
 }
 
-/// Whether `comp(q1, q2)` is defined (label agreement).
-pub fn comp_defined(q1: &TreePattern, q2: &TreePattern) -> bool {
-    q2.label(q2.root()) == q1.label(q1.output())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,11 +110,5 @@ mod tests {
     #[should_panic(expected = "comp: root of compensation")]
     fn comp_label_mismatch_panics() {
         let _ = comp(&p("a/b"), &p("c/d"));
-    }
-
-    #[test]
-    fn comp_defined_check() {
-        assert!(comp_defined(&p("a/b"), &p("b/c")));
-        assert!(!comp_defined(&p("a/b"), &p("c/d")));
     }
 }

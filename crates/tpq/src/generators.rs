@@ -104,11 +104,6 @@ pub fn chain(labels: &[&str], edges: &[Axis]) -> TreePattern {
     q
 }
 
-/// A `/`-only chain `a1/a2/…/an`.
-pub fn child_chain(labels: &[&str]) -> TreePattern {
-    chain(labels, &vec![Axis::Child; labels.len().saturating_sub(1)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,9 +128,5 @@ mod tests {
     fn chain_builders() {
         let q = chain(&["a", "b", "c"], &[Axis::Descendant, Axis::Child]);
         assert_eq!(q.to_string(), "a//b/c");
-        let q2 = child_chain(&["x", "y"]);
-        assert_eq!(q2.to_string(), "x/y");
-        let q3 = child_chain(&["x"]);
-        assert_eq!(q3.to_string(), "x");
     }
 }

@@ -81,12 +81,6 @@ pub fn is_extended_skeleton(q: &TreePattern) -> bool {
     true
 }
 
-/// Whether every pattern in `qs` is an extended skeleton (precondition of
-/// Corollary 3 for PTime `TPIrewrite`).
-pub fn all_extended_skeletons<'a, I: IntoIterator<Item = &'a TreePattern>>(qs: I) -> bool {
-    qs.into_iter().all(is_extended_skeleton)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,13 +130,5 @@ mod tests {
         assert!(!is_extended_skeleton(&p("a[b//d]/b/c")));
         // incoming (b,x) vs run (b,c): diverge at 2nd => accept.
         assert!(is_extended_skeleton(&p("a[b/x//d]/b/c")));
-    }
-
-    #[test]
-    fn all_extended_skeletons_helper() {
-        let good = [p("a/b"), p("a[b/c]/d//e")];
-        assert!(all_extended_skeletons(good.iter()));
-        let bad = [p("a/b"), p("a[.//b]//c")];
-        assert!(!all_extended_skeletons(bad.iter()));
     }
 }

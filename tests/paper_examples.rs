@@ -3,8 +3,8 @@
 //! EXPERIMENTS.md E1–E12).
 
 use prxview::pxml::examples_paper::*;
-use prxview::pxml::{NodeId, PxSpace};
-use prxview::rewrite::view::{DetExtension, ProbExtension};
+use prxview::pxml::{NodeId, PDocument, PxSpace};
+use prxview::rewrite::view::ProbExtension;
 use prxview::rewrite::View;
 use prxview::tpq::parse::parse_pattern;
 use prxview::tpq::TreePattern;
@@ -70,15 +70,16 @@ fn e4_view_extensions() {
     let d = fig1_dper();
     let pper = fig2_pper();
     let v1 = View::new("v1BON", v1bon());
-    let det = DetExtension::materialize(&d, &v1);
+    // The deterministic extension d_v is the extension of the lifted
+    // document: every result is certain.
+    let det = ProbExtension::materialize(&PDocument::from_document(&d), &v1);
     assert_eq!(det.results.len(), 1);
+    assert_eq!(det.results[0].orig, NodeId(5));
+    assert_eq!(det.results[0].prob, 1.0);
     let prob = ProbExtension::materialize(&pper, &v1);
     assert_eq!(prob.results.len(), 1);
     assert!((prob.results[0].prob - 0.75).abs() < 1e-9);
-    // Id markers are queryable: doc(v)-rooted navigation reaches Id(5).
-    let _sub = prob.result_subtree(0);
-    let marker = p("bonus[Id-5]"); // placeholder; real label has parens
-    let _ = marker;
+    // Id markers expose identity: n5 occurs once in its result subtree.
     let occ = prob.occurrences_in_result(0, NodeId(5));
     assert_eq!(occ.len(), 1);
 }
