@@ -796,6 +796,17 @@ fn shard_index(key: (usize, usize)) -> usize {
     (combined.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48) as usize % CATALOG_SHARDS
 }
 
+/// Whether every original-node reference of a restored extension — each
+/// result root and each `Id(·)` entry — names a node of `pdoc` with the
+/// same label. Both restore paths run it before serving an extension.
+fn extension_matches(ext: &ProbExtension, pdoc: &PDocument) -> bool {
+    let consistent = |ext_node: NodeId, orig: NodeId| {
+        pdoc.contains(orig) && pdoc.label(orig) == ext.pdoc.label(ext_node)
+    };
+    ext.results.iter().all(|r| consistent(r.ext_root, r.orig))
+        && ext.orig_entries().all(|(e, o)| consistent(e, o))
+}
+
 impl Catalog {
     /// An empty catalog.
     pub fn new() -> Catalog {
@@ -1319,12 +1330,7 @@ impl Catalog {
         // The eager restore path cross-checks every original-node
         // reference against the target document before serving; the lazy
         // path runs exactly that check at fault time.
-        let consistent = |ext_node: NodeId, orig: NodeId| {
-            pdoc.contains(orig) && pdoc.label(orig) == ext.pdoc.label(ext_node)
-        };
-        if !ext.results.iter().all(|r| consistent(r.ext_root, r.orig))
-            || !ext.orig_entries().all(|(e, o)| consistent(e, o))
-        {
+        if !extension_matches(&ext, pdoc) {
             return Err(section_err(format!(
                 "extension of view `{}` does not match document {}",
                 pending.view.name, key.0
@@ -2442,13 +2448,7 @@ impl Engine {
                 ext.view.name, view.name
             )));
         }
-        let pdoc = &self.documents[doc];
-        let consistent = |ext_node: NodeId, orig: NodeId| {
-            pdoc.contains(orig) && pdoc.label(orig) == ext.pdoc.label(ext_node)
-        };
-        if !ext.results.iter().all(|r| consistent(r.ext_root, r.orig))
-            || !ext.orig_entries().all(|(e, o)| consistent(e, o))
-        {
+        if !extension_matches(ext, &self.documents[doc]) {
             return Err(StoreError::Invalid(format!(
                 "extension of view `{}` does not match document {}",
                 view.name, doc

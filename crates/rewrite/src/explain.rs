@@ -4,8 +4,8 @@
 //!
 //! An [`Explanation`] records *how* `fr(n)` was assembled from view-result
 //! quantities: which formula fired (Theorem 1 division, Eq. 1
-//! inclusion–exclusion, Theorem 3 product, Theorem 5 rational-exponent
-//! product) and the numeric provenance of every term. Rendering one gives
+//! inclusion–exclusion, Theorem 5 rational-exponent product) and the
+//! numeric provenance of every term. Rendering one gives
 //! an auditable derivation like:
 //!
 //! ```text
@@ -182,32 +182,21 @@ pub fn explain_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> Explanati
             result,
         };
     }
-    // Multiple ancestors: report the subset terms by re-running fr on each
-    // singleton/subset through the public function (values only).
-    let full = fr.at(n);
-    let mut terms = Vec::new();
-    let a = anc.len();
-    for mask in 1u32..(1 << a) {
-        let subset: Vec<usize> = (0..a)
-            .filter(|&b| mask & (1 << b) != 0)
-            .map(|b| anc[b])
-            .collect();
-        let ancestors: Vec<NodeId> = subset.iter().map(|&i| ext.results[i].orig).collect();
-        let sign = if subset.len() % 2 == 1 { 1.0 } else { -1.0 };
-        // Recompute the subset's joint probability through the restricted
-        // machinery: Pr(⋂ e_i) as in fr_tp's inner loop.
-        let value = fr.joint_event(n, &subset);
-        terms.push(IeTerm {
-            ancestors,
+    // Multiple ancestors: the terms `fr` sums, and the value it returns.
+    let result = fr.at(n);
+    let terms = fr
+        .ie_terms(n, &anc)
+        .map(|(subset, sign, value)| IeTerm {
+            ancestors: subset.iter().map(|&i| ext.results[i].orig).collect(),
             sign,
             value,
-        });
-    }
+        })
+        .collect();
     Explanation::InclusionExclusion {
         node: n,
         view: ext.view.name.clone(),
         terms,
-        result: full,
+        result,
     }
 }
 
@@ -273,29 +262,52 @@ mod tests {
         }
     }
 
+    /// On nodes with several selected ancestors the explanation
+    /// reproduces `fr` bit for bit: its terms, summed in order and clamped
+    /// as `fr` does, give its result, which is `fr_tp`'s value.
     #[test]
     fn explain_inclusion_exclusion_terms_sum() {
-        let pdoc = pxv_pxml::text::parse_pdocument(
-            "a#0[b#1[ind#2(0.7: b#3[mux#4(0.6: c#5)]), mux#6(0.3: c#7)]]",
-        )
-        .unwrap();
-        let q = parse_pattern("a//b//c").unwrap();
-        let view = View::new("bs", parse_pattern("a//b").unwrap());
-        let rs = tp_rewrite(&q, std::slice::from_ref(&view));
-        let ext = ProbExtension::materialize(&pdoc, &view);
-        let ex = explain_tp(&rs[0], &ext, NodeId(5));
-        match &ex {
-            Explanation::InclusionExclusion { terms, result, .. } => {
-                let sum: f64 = terms.iter().map(|t| t.sign * t.value).sum();
-                assert!((sum - result).abs() < 1e-9);
-                assert_eq!(terms.len(), 3); // two singletons + one pair
+        let cases = [
+            // Two nested ancestors: two singletons and one pair.
+            (
+                "a#0[b#1[ind#2(0.7: b#3[mux#4(0.6: c#5)]), mux#6(0.3: c#7)]]",
+                "a//b//c",
+                NodeId(5),
+                3,
+            ),
+            // Four nested ancestors: 2^4 − 1 subset terms.
+            (
+                "a#0[b#1[ind#2(0.9: b#3[ind#4(0.8: b#5[ind#6(0.7: b#7[mux#8(0.6: d#9)])])])]]",
+                "a//b//d",
+                NodeId(9),
+                15,
+            ),
+        ];
+        for (doc, q, n, term_count) in cases {
+            let pdoc = pxv_pxml::text::parse_pdocument(doc).unwrap();
+            let q = parse_pattern(q).unwrap();
+            let view = View::new("bs", parse_pattern("a//b").unwrap());
+            let rs = tp_rewrite(&q, std::slice::from_ref(&view));
+            let ext = ProbExtension::materialize(&pdoc, &view);
+            let ex = explain_tp(&rs[0], &ext, n);
+            match &ex {
+                Explanation::InclusionExclusion { terms, result, .. } => {
+                    assert_eq!(terms.len(), term_count);
+                    let mut sum = 0.0;
+                    for t in terms {
+                        sum += t.sign * t.value;
+                    }
+                    assert_eq!(sum.clamp(0.0, 1.0).to_bits(), result.to_bits());
+                    let fr = crate::fr_tp::fr_tp(&rs[0], &ext, n);
+                    assert_eq!(result.to_bits(), fr.to_bits(), "{q} at {n}");
+                }
+                other => panic!("expected inclusion-exclusion, got {other:?}"),
             }
-            other => panic!("expected inclusion-exclusion, got {other:?}"),
+            // Value agrees with direct evaluation.
+            let want = pxv_peval::eval_tp_at(&pdoc, &q, n);
+            assert!((ex.value() - want).abs() < 1e-9);
+            assert!(ex.to_string().contains("Eq. 1"));
         }
-        // Value agrees with direct evaluation.
-        let want = pxv_peval::eval_tp_at(&pdoc, &q, NodeId(5));
-        assert!((ex.value() - want).abs() < 1e-9);
-        assert!(ex.to_string().contains("Eq. 1"));
     }
 
     #[test]

@@ -32,22 +32,10 @@ pub(crate) fn mark_output(q: &TreePattern, n: NodeId) -> TreePattern {
 
 /// `root_label // sub` as a pattern (used by the full-token `α`).
 fn descend_plan(root_label: pxv_pxml::Label, sub: &TreePattern) -> TreePattern {
-    let mut q = TreePattern::leaf(root_label);
-    let root = q.root();
-    let top = q.add_child(root, Axis::Descendant, sub.label(sub.root()));
-    let mut map = vec![pxv_tpq::QNodeId(u32::MAX); sub.len()];
-    map[sub.root().0 as usize] = top;
-    let mut stack = vec![sub.root()];
-    while let Some(s) = stack.pop() {
-        let d = map[s.0 as usize];
-        for &c in sub.children(s) {
-            let dc = q.add_child(d, sub.axis(c), sub.label(c));
-            map[c.0 as usize] = dc;
-            stack.push(c);
-        }
-    }
-    q.set_output(map[sub.output().0 as usize]);
-    q
+    let mut base = TreePattern::leaf(root_label);
+    let top = base.add_child(base.root(), Axis::Descendant, sub.label(sub.root()));
+    base.set_output(top);
+    comp(&base, sub)
 }
 
 /// `fr` of one TP-rewriting over one extension: the rewriting's compiled
@@ -99,25 +87,39 @@ impl<'a> Fr<'a> {
             }
             return ext.results[i].prob * self.numerator(i, n) / den;
         }
-        // General case: inclusion-exclusion over the events
-        //   e_i = [n_i ∈ v′(P) ∧ n ∈ q_(k)(P^{n_i})].
-        let a = anc.len();
         let mut total = 0.0;
-        for mask in 1u32..(1 << a) {
+        for (_, sign, value) in self.ie_terms(n, &anc) {
+            total += sign * value;
+        }
+        total.clamp(0.0, 1.0)
+    }
+
+    /// The general case: inclusion–exclusion (Eq. 1) over the events
+    ///   `e_i = [n_i ∈ v′(P) ∧ n ∈ q_(k)(P^{n_i})]`
+    /// for the selected ancestors `anc` (shallowest first). One
+    /// `(subset, sign, Pr(⋂_{i ∈ subset} e_i))` per non-empty subset, in
+    /// bitmask order.
+    pub(crate) fn ie_terms<'s>(
+        &'s mut self,
+        n: NodeId,
+        anc: &'s [usize],
+    ) -> impl Iterator<Item = (Vec<usize>, f64, f64)> + use<'a, 's> {
+        let a = anc.len();
+        (1u32..(1 << a)).map(move |mask| {
             let subset: Vec<usize> = (0..a)
                 .filter(|&b| mask & (1 << b) != 0)
                 .map(|b| anc[b])
                 .collect();
             let sign = if subset.len() % 2 == 1 { 1.0 } else { -1.0 };
-            total += sign * self.joint_event(n, &subset);
-        }
-        total.clamp(0.0, 1.0)
+            let value = self.joint_event(n, &subset);
+            (subset, sign, value)
+        })
     }
 
     /// `Pr(⋂_{i ∈ S} e_i)` for ancestors `S` ordered shallowest-first,
     /// computed within the shallowest ancestor's result subtree (Theorem 2
     /// proof).
-    pub(crate) fn joint_event(&mut self, n: NodeId, subset: &[usize]) -> f64 {
+    fn joint_event(&mut self, n: NodeId, subset: &[usize]) -> f64 {
         let ext = self.ext;
         let top = subset[0];
         let den = ext.denominators()[top];
