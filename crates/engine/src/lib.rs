@@ -1817,8 +1817,7 @@ impl Engine {
     /// The current catalog epoch: bumped by [`Engine::register_view`],
     /// [`Engine::invalidate`] and [`Engine::apply_edits`] (and therefore
     /// by [`Engine::replace_document`]). Plan-cache entries are scoped to
-    /// one epoch, and snapshot staleness (`pxv_store::Store::is_stale`)
-    /// compares against it.
+    /// one epoch, and a snapshot records the epoch it was taken at.
     pub fn catalog_epoch(&self) -> u64 {
         self.catalog_epoch
     }

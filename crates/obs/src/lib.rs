@@ -38,8 +38,8 @@
 //!   and the server's `PROFILE` verb serializes.
 //! - [`slow`] — a thresholded slow-request log over a bounded ring,
 //!   dumped by the server's `STATS SLOW` verb.
-//! - [`keys`] — the canonical `STATS` wire-key list, so the server, the
-//!   client and the e2e tests can never drift apart on key names.
+//! - [`keys`] — the canonical `PROFILE` wire keys, so the writer and the
+//!   parser of a `PROFILE` line cannot drift apart on key names.
 //!
 //! ```
 //! use pxv_obs::metrics::Registry;

@@ -183,8 +183,7 @@ pub fn explain_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> Explanati
         };
     }
     // Multiple ancestors: the terms `fr` sums, and the value it returns.
-    let result = fr.at(n);
-    let terms = fr
+    let terms: Vec<IeTerm> = fr
         .ie_terms(n, &anc)
         .map(|(subset, sign, value)| IeTerm {
             ancestors: subset.iter().map(|&i| ext.results[i].orig).collect(),
@@ -192,6 +191,7 @@ pub fn explain_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> Explanati
             value,
         })
         .collect();
+    let result = crate::fr_tp::ie_sum(terms.iter().map(|t| (t.sign, t.value)));
     Explanation::InclusionExclusion {
         node: n,
         view: ext.view.name.clone(),

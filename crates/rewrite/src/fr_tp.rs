@@ -87,11 +87,7 @@ impl<'a> Fr<'a> {
             }
             return ext.results[i].prob * self.numerator(i, n) / den;
         }
-        let mut total = 0.0;
-        for (_, sign, value) in self.ie_terms(n, &anc) {
-            total += sign * value;
-        }
-        total.clamp(0.0, 1.0)
+        ie_sum(self.ie_terms(n, &anc).map(|(_, sign, value)| (sign, value)))
     }
 
     /// The general case: inclusion–exclusion (Eq. 1) over the events
@@ -133,6 +129,16 @@ impl<'a> Fr<'a> {
         let joint = self.kernel.probability(ext.forest(), top, &conj);
         ext.results[top].prob / den * joint
     }
+}
+
+/// Sums inclusion–exclusion `(sign, value)` terms in order and clamps the
+/// total to `[0, 1]`: the multi-ancestor `fr` from its terms.
+pub(crate) fn ie_sum(terms: impl IntoIterator<Item = (f64, f64)>) -> f64 {
+    let mut total = 0.0;
+    for (sign, value) in terms {
+        total += sign * value;
+    }
+    total.clamp(0.0, 1.0)
 }
 
 /// The conjunction behind `Pr(⋂_{i ∈ S} e_i)`, to be matched at the root

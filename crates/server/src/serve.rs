@@ -44,10 +44,9 @@ use crate::protocol::{
     batch_header, parse_batch_line, parse_request, write_advice, write_answer, write_profile,
     ProtocolError, Request, MAX_BATCH,
 };
-use crate::stats::{ServerMetrics, ServerStats, ServerStatsSnapshot};
+use crate::stats::{self, Sample, ServerMetrics, ServerStats, ServerStatsSnapshot};
 use pxv_engine::{DocId, Engine, EngineError, EpochEngine};
 use pxv_obs::slow::SlowLog;
-use pxv_obs::Exposition;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -1026,17 +1025,7 @@ fn execute(
                 write_advice(out, &report, 0).map_err(io_to_protocol)
             }
         }
-        Request::Stats => {
-            // One value per canonical key, zipped positionally against
-            // `pxv_obs::keys::STATS_KEYS` — the single source of truth
-            // for key names and order shared with clients and tests.
-            let values = stats_values(shared);
-            write!(out, "STATS").map_err(io_to_protocol)?;
-            for (key, value) in pxv_obs::keys::STATS_KEYS.iter().zip(values) {
-                write!(out, " {key}={value}").map_err(io_to_protocol)?;
-            }
-            writeln!(out).map_err(io_to_protocol)
-        }
+        Request::Stats => stats::write_stats(out, &sample(shared)).map_err(io_to_protocol),
         Request::StatsSlow => {
             let records = shared.slow.records();
             writeln!(
@@ -1068,7 +1057,7 @@ fn execute(
             Ok(())
         }
         Request::Metrics => {
-            let text = render_metrics(shared);
+            let text = stats::render_metrics(&shared.metrics.registry, &sample(shared));
             writeln!(out, "METRICS {}", text.lines().count()).map_err(io_to_protocol)?;
             out.extend_from_slice(text.as_bytes());
             Ok(())
@@ -1125,187 +1114,20 @@ fn execute(
     }
 }
 
-/// The `STATS` values, one per key in [`pxv_obs::keys::STATS_KEYS`]
-/// order — the array length is tied to the key list so adding a key
-/// without adding its value is a compile error.
-fn stats_values(shared: &Shared) -> [u64; pxv_obs::keys::STATS_KEYS.len()] {
+/// Reads every source of a served number once, for `STATS` or `METRICS`.
+fn sample(shared: &Shared) -> Sample {
     let engine = shared.engine.read();
-    let es = engine.stats();
-    let ss = shared.stats.snapshot();
-    [
-        engine.document_count() as u64,
-        engine.catalog().len() as u64,
-        engine.catalog_epoch(),
-        shared.engine.epoch(),
-        es.queries,
-        es.plans_tp,
-        es.plans_tpi,
-        es.direct,
-        es.materializations,
-        es.cache_hits,
-        es.invalidations,
-        es.plan_cache_hits,
-        es.plan_cache_misses,
-        es.edits_applied,
-        es.deltas_applied,
-        es.delta_fallbacks,
-        es.cache_bytes,
-        es.evictions,
-        es.admission_rejects,
-        es.sections_faulted,
-        es.lazy_decode_ns,
-        ss.connections,
-        ss.rejected,
-        shared.active.load(Ordering::SeqCst) as u64,
-        ss.requests,
-        ss.errors,
-        ss.pipelined,
-        pxv_obs::Recorder::dropped(),
-        ss.p50_us,
-        ss.p99_us,
-    ]
-}
-
-/// Renders the full `METRICS` exposition: the live registry (request
-/// latency, reactor gauges, store counters) followed by the engine's
-/// lifetime counters *sampled* at scrape time from the current epoch —
-/// every `STATS` datum is reachable here under a canonical
-/// `pxv_<layer>_<name>`.
-fn render_metrics(shared: &Shared) -> String {
-    let mut x = Exposition::new();
-    shared.metrics.registry.render_into(&mut x);
-    // Server totals (atomics sampled, not double-counted live handles).
-    let ss = shared.stats.snapshot();
-    x.counter(
-        "pxv_server_connections_total",
-        "Connections accepted and admitted.",
-        ss.connections,
-    );
-    x.counter(
-        "pxv_server_rejected_total",
-        "Connections rejected at the connection limit.",
-        ss.rejected,
-    );
-    x.counter(
-        "pxv_server_requests_total",
-        "Requests handled.",
-        ss.requests,
-    );
-    x.counter(
-        "pxv_server_errors_total",
-        "Requests answered with at least one ERR line.",
-        ss.errors,
-    );
-    x.counter(
-        "pxv_server_pipelined_total",
-        "Requests that arrived pipelined behind an unanswered one.",
-        ss.pipelined,
-    );
-    x.gauge(
-        "pxv_server_active_connections",
-        "Currently open connections.",
-        shared.active.load(Ordering::SeqCst) as u64,
-    );
-    x.counter(
-        "pxv_server_slow_queries_total",
-        "Requests slower than the slow-log threshold.",
-        shared.slow.len() as u64 + shared.slow.dropped(),
-    );
-    x.counter(
-        "pxv_obs_spans_dropped",
-        "Span records dropped from overflowing trace rings.",
-        pxv_obs::Recorder::dropped(),
-    );
-    // Engine + cache lifetime counters, sampled from the current epoch.
-    let engine = shared.engine.read();
-    let es = engine.stats();
-    x.gauge(
-        "pxv_engine_docs",
-        "Loaded documents.",
-        engine.document_count() as u64,
-    );
-    x.gauge(
-        "pxv_engine_views",
-        "Registered views.",
-        engine.catalog().len() as u64,
-    );
-    x.gauge(
-        "pxv_engine_epoch",
-        "Catalog epoch (bumped per mutation).",
-        engine.catalog_epoch(),
-    );
-    x.counter("pxv_engine_queries_total", "Queries answered.", es.queries);
-    x.counter(
-        "pxv_engine_tp_plans_total",
-        "Single-view TP plans executed.",
-        es.plans_tp,
-    );
-    x.counter(
-        "pxv_engine_tpi_plans_total",
-        "Interleaving TPI plans executed.",
-        es.plans_tpi,
-    );
-    x.counter(
-        "pxv_engine_direct_total",
-        "Direct (view-less) evaluations.",
-        es.direct,
-    );
-    x.counter(
-        "pxv_engine_materializations_total",
-        "View extensions materialized.",
-        es.materializations,
-    );
-    x.counter(
-        "pxv_engine_cache_hits_total",
-        "Extension cache hits.",
-        es.cache_hits,
-    );
-    x.counter(
-        "pxv_engine_invalidations_total",
-        "Cached extensions invalidated.",
-        es.invalidations,
-    );
-    x.counter(
-        "pxv_engine_plan_cache_hits_total",
-        "Plan cache hits.",
-        es.plan_cache_hits,
-    );
-    x.counter(
-        "pxv_engine_plan_cache_misses_total",
-        "Plan cache misses.",
-        es.plan_cache_misses,
-    );
-    x.counter(
-        "pxv_engine_edits_total",
-        "Document edits applied.",
-        es.edits_applied,
-    );
-    x.counter(
-        "pxv_engine_deltas_total",
-        "Extensions maintained incrementally under edits.",
-        es.deltas_applied,
-    );
-    x.counter(
-        "pxv_engine_delta_fallbacks_total",
-        "Extensions invalidated because no delta rule applied.",
-        es.delta_fallbacks,
-    );
-    x.gauge(
-        "pxv_cache_bytes",
-        "Bytes held by the extension cache.",
-        es.cache_bytes,
-    );
-    x.counter(
-        "pxv_cache_evictions_total",
-        "Extensions evicted by the budget.",
-        es.evictions,
-    );
-    x.counter(
-        "pxv_cache_admission_rejects_total",
-        "Extensions refused admission by the budget.",
-        es.admission_rejects,
-    );
-    x.finish()
+    Sample {
+        engine: engine.stats(),
+        server: shared.stats.snapshot(),
+        docs: engine.document_count() as u64,
+        views: engine.catalog().len() as u64,
+        catalog_epoch: engine.catalog_epoch(),
+        published_epochs: shared.engine.epoch(),
+        active: shared.active.load(Ordering::SeqCst) as u64,
+        slow_queries: shared.slow.len() as u64 + shared.slow.dropped(),
+        spans_dropped: pxv_obs::Recorder::dropped(),
+    }
 }
 
 fn io_to_protocol(e: io::Error) -> ProtocolError {

@@ -1,8 +1,18 @@
-//! Server-side counters and the server's metric surface: atomic totals,
-//! the request-latency histogram (a `pxv_obs::Histogram`, shared with
-//! the metrics registry), and the reactor gauges exported by `METRICS`.
+//! Server-side counters and the one declaration of every served number.
+//!
+//! [`ServerStats`] holds the server's atomic totals and the request
+//! latency histogram (a `pxv_obs::Histogram`, shared with the metrics
+//! registry); `ServerMetrics` holds the registry's live handles (the
+//! reactor gauges and the store counters). Everything else `prxd`
+//! serves is a row of `ROWS`: a number's `STATS` key, its `METRICS`
+//! family, kind and help text, and how to read it from a `Sample`.
+//! `STATS` writes the rows that have a key, in table order; `METRICS`
+//! renders the registry, then the rows that have a family. A counter is
+//! added, renamed or documented here and nowhere else.
 
-use pxv_obs::{Counter, Gauge, Histogram, Registry};
+use pxv_engine::EngineStats;
+use pxv_obs::{Counter, Exposition, Gauge, Histogram, Registry};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atomic lifetime counters of one server.
@@ -62,9 +72,9 @@ impl ServerStats {
 
 /// The server's live metric handles, registered under canonical
 /// `pxv_<layer>_<name>` names. Reactor gauges are written from the poll
-/// loop; engine/cache lifetime counters are *sampled* into the rendered
-/// exposition at `METRICS` time (see `serve::render_metrics`) instead of
-/// being double-counted into live handles.
+/// loop; the engine's and the server's lifetime totals are *sampled* into
+/// the exposition at `METRICS` time (see [`ROWS`]) instead of being
+/// double-counted into live handles.
 #[derive(Debug)]
 pub(crate) struct ServerMetrics {
     /// The registry the live handles below are registered in.
@@ -141,10 +151,219 @@ impl ServerMetrics {
     }
 }
 
+/// Every source of a served number, read once per `STATS` or `METRICS`
+/// request; the readers in [`ROWS`] project it.
+pub(crate) struct Sample {
+    /// The current epoch's engine counters.
+    pub(crate) engine: EngineStats,
+    /// The server's totals and latency quantiles.
+    pub(crate) server: ServerStatsSnapshot,
+    /// Loaded documents.
+    pub(crate) docs: u64,
+    /// Registered views.
+    pub(crate) views: u64,
+    /// The engine's catalog epoch.
+    pub(crate) catalog_epoch: u64,
+    /// Epochs published over the server's initial engine.
+    pub(crate) published_epochs: u64,
+    /// Currently open connections.
+    pub(crate) active: u64,
+    /// Requests the slow log recorded, kept or since dropped.
+    pub(crate) slow_queries: u64,
+    /// Span records dropped from overflowing trace rings.
+    pub(crate) spans_dropped: u64,
+}
+
+/// The kind a `METRICS` family is exposed as.
+#[derive(Clone, Copy)]
+pub(crate) enum Kind {
+    /// A monotone total.
+    Counter,
+    /// A point-in-time value.
+    Gauge,
+}
+
+/// One served number.
+pub(crate) struct Row {
+    /// Its `STATS` key, if the `STATS` line carries it.
+    pub(crate) key: Option<&'static str>,
+    /// Its `METRICS` family (name, kind, help), if the table renders it.
+    pub(crate) family: Option<(&'static str, Kind, &'static str)>,
+    /// Reads the number from a sample.
+    pub(crate) read: fn(&Sample) -> u64,
+}
+
+/// Every served number, in `STATS` order. prxbench and `prxload` parse
+/// the `STATS` keys by name, so a key here is wire contract.
+#[rustfmt::skip]
+pub(crate) const ROWS: &[Row] = &[
+    Row { key: Some("docs"), read: |s| s.docs,
+          family: Some(("pxv_engine_docs", Kind::Gauge, "Loaded documents.")) },
+    Row { key: Some("views"), read: |s| s.views,
+          family: Some(("pxv_engine_views", Kind::Gauge, "Registered views.")) },
+    Row { key: Some("epoch"), read: |s| s.catalog_epoch,
+          family: Some(("pxv_engine_epoch", Kind::Gauge, "Catalog epoch (bumped per mutation).")) },
+    // Epochs published by the server's `EpochEngine`. `METRICS` carries
+    // it as the registry's `pxv_server_epoch` gauge (the value the
+    // reactor last observed).
+    Row { key: Some("engine_epoch"), read: |s| s.published_epochs, family: None },
+    Row { key: Some("queries"), read: |s| s.engine.queries,
+          family: Some(("pxv_engine_queries_total", Kind::Counter, "Queries answered.")) },
+    Row { key: Some("tp"), read: |s| s.engine.plans_tp,
+          family: Some(("pxv_engine_tp_plans_total", Kind::Counter,
+                        "Single-view TP plans executed.")) },
+    Row { key: Some("tpi"), read: |s| s.engine.plans_tpi,
+          family: Some(("pxv_engine_tpi_plans_total", Kind::Counter,
+                        "Interleaving TPI plans executed.")) },
+    Row { key: Some("direct"), read: |s| s.engine.direct,
+          family: Some(("pxv_engine_direct_total", Kind::Counter,
+                        "Direct (view-less) evaluations.")) },
+    Row { key: Some("mats"), read: |s| s.engine.materializations,
+          family: Some(("pxv_engine_materializations_total", Kind::Counter,
+                        "View extensions materialized.")) },
+    Row { key: Some("exthits"), read: |s| s.engine.cache_hits,
+          family: Some(("pxv_engine_cache_hits_total", Kind::Counter, "Extension cache hits.")) },
+    Row { key: Some("inval"), read: |s| s.engine.invalidations,
+          family: Some(("pxv_engine_invalidations_total", Kind::Counter,
+                        "Invalidations that evicted at least one cached extension.")) },
+    Row { key: Some("planhits"), read: |s| s.engine.plan_cache_hits,
+          family: Some(("pxv_engine_plan_cache_hits_total", Kind::Counter, "Plan cache hits.")) },
+    Row { key: Some("planmiss"), read: |s| s.engine.plan_cache_misses,
+          family: Some(("pxv_engine_plan_cache_misses_total", Kind::Counter,
+                        "Plan cache misses.")) },
+    Row { key: Some("edits"), read: |s| s.engine.edits_applied,
+          family: Some(("pxv_engine_edits_total", Kind::Counter, "Document edits applied.")) },
+    Row { key: Some("deltas"), read: |s| s.engine.deltas_applied,
+          family: Some(("pxv_engine_deltas_total", Kind::Counter,
+                        "Extensions maintained incrementally under edits.")) },
+    Row { key: Some("fallbacks"), read: |s| s.engine.delta_fallbacks,
+          family: Some(("pxv_engine_delta_fallbacks_total", Kind::Counter,
+                        "Maintenance steps that fell back to full rematerialization.")) },
+    Row { key: Some("cache_bytes"), read: |s| s.engine.cache_bytes,
+          family: Some(("pxv_cache_bytes", Kind::Gauge, "Bytes held by the extension cache.")) },
+    Row { key: Some("evictions"), read: |s| s.engine.evictions,
+          family: Some(("pxv_cache_evictions_total", Kind::Counter,
+                        "Extensions evicted by the budget.")) },
+    Row { key: Some("admission_rejects"), read: |s| s.engine.admission_rejects,
+          family: Some(("pxv_cache_admission_rejects_total", Kind::Counter,
+                        "Extensions refused admission by the budget.")) },
+    Row { key: Some("sections_faulted"), read: |s| s.engine.sections_faulted,
+          family: Some(("pxv_store_sections_faulted_total", Kind::Counter,
+                        "Lazily restored snapshot sections decoded on first probe.")) },
+    Row { key: Some("lazy_decode_ns"), read: |s| s.engine.lazy_decode_ns,
+          family: Some(("pxv_store_lazy_decode_ns_total", Kind::Counter,
+                        "Nanoseconds spent decoding lazily faulted sections.")) },
+    Row { key: Some("conns"), read: |s| s.server.connections,
+          family: Some(("pxv_server_connections_total", Kind::Counter,
+                        "Connections accepted and admitted.")) },
+    Row { key: Some("rejected"), read: |s| s.server.rejected,
+          family: Some(("pxv_server_rejected_total", Kind::Counter,
+                        "Connections rejected at the connection limit.")) },
+    Row { key: Some("active"), read: |s| s.active,
+          family: Some(("pxv_server_active_connections", Kind::Gauge,
+                        "Currently open connections.")) },
+    Row { key: Some("requests"), read: |s| s.server.requests,
+          family: Some(("pxv_server_requests_total", Kind::Counter, "Requests handled.")) },
+    Row { key: Some("errors"), read: |s| s.server.errors,
+          family: Some(("pxv_server_errors_total", Kind::Counter,
+                        "Requests answered with at least one ERR line.")) },
+    Row { key: Some("pipelined"), read: |s| s.server.pipelined,
+          family: Some(("pxv_server_pipelined_total", Kind::Counter,
+                        "Requests that arrived pipelined behind an unanswered one.")) },
+    Row { key: None, read: |s| s.slow_queries,
+          family: Some(("pxv_server_slow_queries_total", Kind::Counter,
+                        "Requests slower than the slow-log threshold.")) },
+    Row { key: Some("spans_dropped"), read: |s| s.spans_dropped,
+          family: Some(("pxv_obs_spans_dropped", Kind::Counter,
+                        "Span records dropped from overflowing trace rings.")) },
+    // Request latency quantiles (µs, bucket upper bounds). `METRICS`
+    // carries the whole distribution as the registry's
+    // `pxv_server_request_us` histogram.
+    Row { key: Some("p50us"), read: |s| s.server.p50_us, family: None },
+    Row { key: Some("p99us"), read: |s| s.server.p99_us, family: None },
+];
+
+/// Writes the `STATS` line: every row that has a key, in table order.
+pub(crate) fn write_stats(out: &mut Vec<u8>, sample: &Sample) -> io::Result<()> {
+    out.extend_from_slice(b"STATS");
+    for row in ROWS {
+        if let Some(key) = row.key {
+            write!(out, " {key}={}", (row.read)(sample))?;
+        }
+    }
+    writeln!(out)
+}
+
+/// Renders the `METRICS` exposition: the live registry, then every row
+/// that has a family.
+pub(crate) fn render_metrics(registry: &Registry, sample: &Sample) -> String {
+    let mut x = Exposition::new();
+    registry.render_into(&mut x);
+    for row in ROWS {
+        match row.family {
+            Some((name, Kind::Counter, help)) => x.counter(name, help, (row.read)(sample)),
+            Some((name, Kind::Gauge, help)) => x.gauge(name, help, (row.read)(sample)),
+            None => {}
+        }
+    }
+    x.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxv_obs::metrics::valid_metric_name;
+    use std::collections::HashSet;
     use std::time::Duration;
+
+    fn stats_keys() -> Vec<&'static str> {
+        ROWS.iter().filter_map(|row| row.key).collect()
+    }
+
+    /// Every `METRICS` family: the registry's (read off its `# TYPE`
+    /// lines), then the table's.
+    fn family_names() -> Vec<String> {
+        let registry = ServerMetrics::new(Histogram::new()).registry.render();
+        let mut names: Vec<String> = registry
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .map(|rest| rest.split(' ').next().unwrap().to_string())
+            .collect();
+        assert!(names.contains(&"pxv_server_request_us".to_string()));
+        names.extend(
+            ROWS.iter()
+                .filter_map(|row| row.family.map(|(name, _, _)| name.to_string())),
+        );
+        names
+    }
+
+    #[test]
+    fn stats_keys_have_no_duplicates() {
+        let keys = stats_keys();
+        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), keys.len());
+    }
+
+    #[test]
+    fn stats_keys_are_wire_safe() {
+        for k in stats_keys() {
+            assert!(
+                !k.is_empty()
+                    && k.bytes()
+                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'),
+                "key `{k}` must be lowercase identifier-safe"
+            );
+        }
+    }
+
+    #[test]
+    fn family_names_are_valid_and_unique() {
+        let names = family_names();
+        for name in &names {
+            assert!(valid_metric_name(name), "bad metric name `{name}`");
+        }
+        let unique: HashSet<_> = names.iter().collect();
+        assert_eq!(unique.len(), names.len(), "a family repeats in {names:?}");
+    }
 
     #[test]
     fn snapshot_quantiles_come_from_the_shared_histogram() {

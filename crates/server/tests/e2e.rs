@@ -15,6 +15,8 @@ use pxv_server::protocol::ProtocolError;
 use pxv_server::serve::{serve, ServerConfig, ServerHandle};
 use pxv_tpq::parse::parse_pattern;
 use pxv_tpq::TreePattern;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 const DOC: &str = "hr";
 
@@ -505,8 +507,54 @@ fn budget_and_advise_over_the_wire() {
     handle.shutdown();
 }
 
+/// Every `STATS` key in wire order, with the `METRICS` sample that
+/// carries the same number. prxbench and `prxload` read these keys by
+/// name, so a change here is a wire break.
+const STATS_WIRE: [(&str, &str); 30] = [
+    ("docs", "pxv_engine_docs"),
+    ("views", "pxv_engine_views"),
+    ("epoch", "pxv_engine_epoch"),
+    ("engine_epoch", "pxv_server_epoch"),
+    ("queries", "pxv_engine_queries_total"),
+    ("tp", "pxv_engine_tp_plans_total"),
+    ("tpi", "pxv_engine_tpi_plans_total"),
+    ("direct", "pxv_engine_direct_total"),
+    ("mats", "pxv_engine_materializations_total"),
+    ("exthits", "pxv_engine_cache_hits_total"),
+    ("inval", "pxv_engine_invalidations_total"),
+    ("planhits", "pxv_engine_plan_cache_hits_total"),
+    ("planmiss", "pxv_engine_plan_cache_misses_total"),
+    ("edits", "pxv_engine_edits_total"),
+    ("deltas", "pxv_engine_deltas_total"),
+    ("fallbacks", "pxv_engine_delta_fallbacks_total"),
+    ("cache_bytes", "pxv_cache_bytes"),
+    ("evictions", "pxv_cache_evictions_total"),
+    ("admission_rejects", "pxv_cache_admission_rejects_total"),
+    ("sections_faulted", "pxv_store_sections_faulted_total"),
+    ("lazy_decode_ns", "pxv_store_lazy_decode_ns_total"),
+    ("conns", "pxv_server_connections_total"),
+    ("rejected", "pxv_server_rejected_total"),
+    ("active", "pxv_server_active_connections"),
+    ("requests", "pxv_server_requests_total"),
+    ("errors", "pxv_server_errors_total"),
+    ("pipelined", "pxv_server_pipelined_total"),
+    ("spans_dropped", "pxv_obs_spans_dropped"),
+    ("p50us", "pxv_server_request_us_count"),
+    ("p99us", "pxv_server_request_us_count"),
+];
+
+/// Sends one request line on a fresh connection and returns the first
+/// response line, without its newline.
+fn raw_request(handle: &ServerHandle, request: &str) -> String {
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    writeln!(stream, "{request}").unwrap();
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    line.trim_end().to_string()
+}
+
 /// The observability tentpole over the wire: `STATS` emits exactly the
-/// canonical key set, `METRICS` parses as Prometheus text (every sample
+/// wire keys in wire order, `METRICS` parses as Prometheus text (every sample
 /// line `name value`, counters monotone across scrapes), `PROFILE`
 /// returns a complete stage breakdown consistent with the plain answer,
 /// and `STATS SLOW` dumps the slow-query ring.
@@ -531,15 +579,16 @@ fn observability_verbs_over_the_wire() {
     }
     c.warm(DOC).unwrap();
 
-    // STATS: exactly the canonical key set, each key exactly once.
-    let stats = c.stats().unwrap();
-    assert_eq!(stats.len(), pxv_obs::keys::STATS_KEYS.len());
-    for key in pxv_obs::keys::STATS_KEYS {
-        assert!(
-            stats.contains_key(key),
-            "STATS missing canonical key `{key}`"
-        );
-    }
+    // STATS: exactly the wire keys, in wire order.
+    let line = raw_request(&handle, "STATS");
+    let keys: Vec<&str> = line
+        .strip_prefix("STATS ")
+        .expect("STATS line")
+        .split(' ')
+        .map(|pair| pair.split_once('=').expect("key=value").0)
+        .collect();
+    let wire: Vec<&str> = STATS_WIRE.iter().map(|&(key, _)| key).collect();
+    assert_eq!(keys, wire, "STATS keys or their order changed");
 
     // METRICS: well-formed Prometheus text with every layer represented.
     let scrape = |c: &mut Client| {
@@ -585,6 +634,13 @@ fn observability_verbs_over_the_wire() {
         "pxv_obs_spans_dropped",
     ] {
         assert!(first.contains_key(family), "METRICS missing `{family}`");
+    }
+    // Every STATS number is reachable through METRICS.
+    for (key, family) in STATS_WIRE {
+        assert!(
+            first.contains_key(family),
+            "METRICS misses `{family}` (STATS `{key}`)"
+        );
     }
     assert!(first["pxv_cache_bytes"] > 0, "warm cache is byte-accounted");
     assert!(

@@ -52,7 +52,6 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// File name of the engine snapshot inside a [`Store`] directory.
 pub const SNAPSHOT_FILE: &str = "engine.pxv";
@@ -124,23 +123,9 @@ pub fn read_snapshot_lazy(path: impl AsRef<Path>) -> Result<LazySnapshot, StoreE
 }
 
 /// A snapshot directory: the durable home of one engine's state
-/// (`<dir>/engine.pxv`), plus bookkeeping for the staleness contract.
-///
-/// # Staleness contract
-///
-/// A snapshot is a *point-in-time* image, valid for exactly the catalog
-/// epoch it was taken at. `Engine::register_view`, `Engine::invalidate`
-/// and `Engine::replace_document` all bump the epoch, so any admin
-/// mutation makes every earlier snapshot stale — [`Store::is_stale`]
-/// compares the engine's live epoch against the last epoch this store
-/// saved or loaded. Because `Engine::snapshot` reads the *live* cache, a
-/// snapshot taken after an invalidation can never resurrect evicted
-/// extensions (regression-tested in `pxv-engine`); re-saving on
-/// graceful shutdown is how the serving layer refreshes a stale store.
+/// (`<dir>/engine.pxv`).
 pub struct Store {
     dir: PathBuf,
-    /// Epoch of the last snapshot this handle saved or loaded.
-    last_epoch: Mutex<Option<u64>>,
 }
 
 impl Store {
@@ -148,10 +133,7 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Store, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
-        Ok(Store {
-            dir,
-            last_epoch: Mutex::new(None),
-        })
+        Ok(Store { dir })
     }
 
     /// The directory this store manages.
@@ -169,40 +151,20 @@ impl Store {
         self.snapshot_path().is_file()
     }
 
-    /// Saves a snapshot atomically; returns the bytes written and
-    /// records the snapshot's epoch for [`Store::is_stale`].
+    /// Saves a snapshot atomically; returns the bytes written.
     pub fn save(&self, snapshot: &Snapshot) -> Result<u64, StoreError> {
-        let bytes = write_snapshot(self.snapshot_path(), snapshot)?;
-        *self.last_epoch.lock().expect("store epoch poisoned") = Some(snapshot.epoch);
-        Ok(bytes)
+        write_snapshot(self.snapshot_path(), snapshot)
     }
 
-    /// Loads the snapshot, recording its epoch for [`Store::is_stale`].
+    /// Loads the snapshot.
     pub fn load(&self) -> Result<Snapshot, StoreError> {
-        let snapshot = read_snapshot(self.snapshot_path())?;
-        *self.last_epoch.lock().expect("store epoch poisoned") = Some(snapshot.epoch);
-        Ok(snapshot)
+        read_snapshot(self.snapshot_path())
     }
 
     /// Loads the snapshot lazily (extension bodies decode on first
-    /// probe), recording its epoch for [`Store::is_stale`].
+    /// probe).
     pub fn load_lazy(&self) -> Result<LazySnapshot, StoreError> {
-        let snapshot = read_snapshot_lazy(self.snapshot_path())?;
-        *self.last_epoch.lock().expect("store epoch poisoned") = Some(snapshot.epoch);
-        Ok(snapshot)
-    }
-
-    /// Epoch of the last snapshot saved or loaded through this handle
-    /// (`None` before the first save/load).
-    pub fn saved_epoch(&self) -> Option<u64> {
-        *self.last_epoch.lock().expect("store epoch poisoned")
-    }
-
-    /// Whether the on-disk snapshot lags an engine whose catalog epoch
-    /// is `engine_epoch` (see the staleness contract above). A store
-    /// that never saved or loaded is trivially stale.
-    pub fn is_stale(&self, engine_epoch: u64) -> bool {
-        self.saved_epoch() != Some(engine_epoch)
+        read_snapshot_lazy(self.snapshot_path())
     }
 }
 
@@ -265,17 +227,13 @@ mod tests {
     }
 
     #[test]
-    fn store_tracks_staleness() {
+    fn store_saves_and_loads() {
         let dir = std::env::temp_dir().join(format!("pxv-store-test-{}", std::process::id()));
         let store = Store::open(&dir).unwrap();
         assert!(!store.has_snapshot());
-        assert!(store.is_stale(7), "no snapshot yet");
         let s = sample_snapshot();
         store.save(&s).unwrap();
         assert!(store.has_snapshot());
-        assert_eq!(store.saved_epoch(), Some(7));
-        assert!(!store.is_stale(7));
-        assert!(store.is_stale(8), "epoch moved on: snapshot is stale");
         let back = store.load().unwrap();
         assert_eq!(back.epoch, 7);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -16,10 +16,8 @@ cd "$(dirname "$0")/.."
 # - ring_count: its own test checks that rings are pruned;
 # - semantically_contained: an oracle that tests compare against;
 # - explain_system: why-provenance for TP∩ answers, to be wired to a
-#   caller (ROADMAP.md);
-# - is_stale: the store's documented staleness contract, checked by its
-#   own test.
-ALLOW=" ring_count semantically_contained explain_system is_stale "
+#   caller (ROADMAP.md).
+ALLOW=" ring_count semantically_contained explain_system "
 
 SEARCH=(crates src tests examples prxbench)
 unlisted=0
